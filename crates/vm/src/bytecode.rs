@@ -197,10 +197,15 @@ pub(crate) struct BcFunc {
 /// addresses, initializer blits, and segment high-water marks. The
 /// layout depends only on the module (never on `VmConfig`), so it is
 /// computed once here and reused by both backends.
-#[derive(Debug, Clone, Default)]
+///
+/// Blits are split by segment: the rodata image (string literals, the
+/// P-BOX) is installed once per VM and survives every respawn, so a
+/// respawn walks only `data_blits`.
+#[derive(Debug, Default)]
 pub(crate) struct GlobalLayout {
     pub(crate) addrs: Vec<u64>,
-    pub(crate) blits: Vec<(u64, Vec<u8>)>,
+    pub(crate) rodata_blits: Vec<(u64, Vec<u8>)>,
+    pub(crate) data_blits: Vec<(u64, Vec<u8>)>,
     pub(crate) rodata_used: u64,
     pub(crate) data_used: u64,
 }
@@ -217,10 +222,10 @@ pub(crate) fn layout_globals(module: &Module) -> GlobalLayout {
     let mut ro_cursor = layout::RODATA_BASE;
     let mut data_cursor = layout::DATA_BASE + 8;
     for g in &module.globals {
-        let cursor = if g.readonly {
-            &mut ro_cursor
+        let (cursor, blits) = if g.readonly {
+            (&mut ro_cursor, &mut l.rodata_blits)
         } else {
-            &mut data_cursor
+            (&mut data_cursor, &mut l.data_blits)
         };
         *cursor = smokestack_ir::align_to(*cursor, g.ty.align().max(1));
         let addr = *cursor;
@@ -228,7 +233,7 @@ pub(crate) fn layout_globals(module: &Module) -> GlobalLayout {
         let size = g.ty.size();
         if let GlobalInit::Bytes(b) = &g.init {
             assert!(b.len() as u64 <= size, "initializer larger than global");
-            l.blits.push((addr, b.clone()));
+            blits.push((addr, b.clone()));
         }
         *cursor += size;
     }
@@ -247,7 +252,9 @@ pub struct CompiledModule {
     pub(crate) module: Arc<Module>,
     pub(crate) cost_fp: u64,
     pub(crate) funcs: Vec<BcFunc>,
-    pub(crate) globals: GlobalLayout,
+    /// Shared with every VM spawned from this image, so a spawn never
+    /// deep-copies the loader image (the P-BOX blit included).
+    pub(crate) globals: Arc<GlobalLayout>,
     /// Per-function slab class under the cost model this was compiled
     /// with (drives the stack-access discount/penalty).
     pub(crate) slab_classes: Vec<SlabClass>,
@@ -518,7 +525,7 @@ pub fn compile_module(module: Arc<Module>, cost: &CostModel) -> CompiledModule {
         module,
         cost_fp: cost.fingerprint(),
         funcs,
-        globals,
+        globals: Arc::new(globals),
         slab_classes,
         pbox_draws,
         alloca_names,

@@ -324,11 +324,10 @@ pub struct Vm {
     pub(crate) stack_base_offset: u64,
     pub(crate) fuel: u64,
     pub(crate) record_allocas: bool,
-    pub(crate) global_addrs: Vec<u64>,
-    /// The full global layout (addresses + initializer blits), retained
-    /// so [`Vm::respawn`] can re-install the loader image without
-    /// touching the module or the compiled cache.
-    pub(crate) globals: GlobalLayout,
+    /// The global layout (addresses + initializer blits), shared with
+    /// the compiled image and retained so [`Vm::respawn`] can re-install
+    /// the data image without touching the module or the compiled cache.
+    pub(crate) globals: Arc<GlobalLayout>,
     pub(crate) slab_funcs: Vec<crate::cycles::SlabClass>,
     pub(crate) tracer: Option<Box<dyn Tracer>>,
     /// Cached [`Tracer::wants_cycles`] answer, sampled once at
@@ -410,11 +409,11 @@ impl Vm {
         let mut mem = Memory::new(cfg.mem);
         // Lay out globals (shared with the bytecode image: the layout
         // depends only on the module, never on the config).
-        let gl: GlobalLayout = match &compiled {
-            Some(c) => c.globals.clone(),
-            None => layout_globals(&module),
+        let gl = match &compiled {
+            Some(c) => Arc::clone(&c.globals),
+            None => Arc::new(layout_globals(&module)),
         };
-        for (addr, bytes) in &gl.blits {
+        for (addr, bytes) in gl.rodata_blits.iter().chain(&gl.data_blits) {
             mem.write_init(*addr, bytes).expect("global fits segment");
         }
         mem.set_rodata_used(gl.rodata_used);
@@ -422,7 +421,6 @@ impl Vm {
         // First 8 bytes of data hold the memory-resident pseudo-PRNG state.
         mem.write_init(layout::DATA_BASE, &pseudo_seed.to_le_bytes())
             .expect("pseudo state slot");
-        let global_addrs = gl.addrs.clone();
 
         let slab_funcs = match &compiled {
             Some(c) => c.slab_classes.clone(),
@@ -451,7 +449,6 @@ impl Vm {
             stack_base_offset: cfg.stack_base_offset,
             fuel: cfg.fuel,
             record_allocas: cfg.record_allocas,
-            global_addrs,
             globals: gl,
             slab_funcs,
             tracer,
@@ -484,10 +481,15 @@ impl Vm {
     }
 
     /// Re-arm this VM for a fresh run under a new TRNG seed, reusing
-    /// every allocation the previous runs paid for: the memory segments
-    /// (only dirty spans are re-zeroed), the bytecode register file and
-    /// call stack, the compiled image, and the precomputed slab/P-BOX
-    /// tables. After `respawn` the VM is observationally identical to a
+    /// every allocation the previous runs paid for: the memory segments,
+    /// the bytecode register file and call stack, the compiled image,
+    /// and the precomputed slab/P-BOX tables. The cost follows the bytes
+    /// a run can dirty: data, heap and stack are re-zeroed over their
+    /// dirty spans, then only the data blits and the pseudo-PRNG slot
+    /// are rewritten. The rodata image (string literals, the P-BOX)
+    /// stays from construction: program stores to read-only segments
+    /// fault, and only the loader uses `Memory::write_init`. After
+    /// `respawn` the VM is observationally identical to a
     /// freshly-constructed one with the same config — the TRNG draw
     /// order below mirrors `new_internal` exactly, which the backends
     /// bit-identity tests pin.
@@ -509,12 +511,11 @@ impl Vm {
         self.stack_base_offset = stack_base_offset;
 
         self.mem.reset();
-        for (addr, bytes) in &self.globals.blits {
+        for (addr, bytes) in &self.globals.data_blits {
             self.mem
                 .write_init(*addr, bytes)
                 .expect("global fits segment");
         }
-        self.mem.set_rodata_used(self.globals.rodata_used);
         self.mem.set_data_used(self.globals.data_used);
         self.mem
             .write_init(layout::DATA_BASE, &pseudo_seed.to_le_bytes())
@@ -600,7 +601,7 @@ impl Vm {
             .iter()
             .position(|g| g.name == name)
             .unwrap_or_else(|| panic!("no global named {name}"));
-        self.global_addrs[idx]
+        self.globals.addrs[idx]
     }
 
     /// Run `main` with no arguments and scripted (possibly empty) input.
@@ -894,7 +895,7 @@ impl Vm {
         match v {
             Value::Reg(r) => fr.regs[r.0 as usize],
             Value::ConstInt(c, w) => w.truncate(*c as u64),
-            Value::Global(g) => self.global_addrs[g.0 as usize],
+            Value::Global(g) => self.globals.addrs[g.0 as usize],
             Value::Func(f) => layout::CODE_BASE + 16 * f.0 as u64,
             Value::NullPtr => 0,
         }

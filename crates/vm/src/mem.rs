@@ -39,9 +39,11 @@ pub struct Segment {
     /// Dirty-range watermarks (byte offsets into `bytes`): every write
     /// widens `dirty_lo..dirty_hi`, and [`Segment::wipe`] zeroes only
     /// that span. `dirty_lo > dirty_hi` means the segment is clean, so
-    /// resetting an untouched multi-megabyte segment costs nothing —
-    /// the property resident serve sessions rely on to make per-request
-    /// respawns proportional to bytes touched, not bytes mapped.
+    /// resetting an untouched multi-megabyte segment costs nothing.
+    /// [`Memory::reset`] wipes only the writable segments (rodata keeps
+    /// its loader image), which is what makes a resident serve
+    /// session's per-request respawn proportional to the bytes a
+    /// request can dirty, not the bytes mapped or the P-BOX's size.
     dirty_lo: usize,
     dirty_hi: usize,
 }
@@ -343,10 +345,15 @@ impl Memory {
     /// Loader-only write that may target read-only segments (used to
     /// install global initializers and the P-BOX image).
     ///
+    /// Crate-private on purpose: [`Memory::reset`] keeps rodata in place
+    /// across respawns, which is sound only because nothing but the VM
+    /// loader ever writes it — programs and attackers go through
+    /// [`Memory::write`], which refuses read-only segments.
+    ///
     /// # Errors
     ///
     /// Faults if the range is outside all segments.
-    pub fn write_init(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemFault> {
+    pub(crate) fn write_init(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemFault> {
         let len = bytes.len() as u64;
         let hit = match self.segment_for_mut(addr, len) {
             Some(s) => {
@@ -420,8 +427,8 @@ impl Memory {
         self.rodata_used() + self.data_used() + self.heap_high_water + stack_used
     }
 
-    /// Bytes of rodata capacity counted as resident. Tracked precisely
-    /// by the loader via [`Memory::set_rodata_used`].
+    /// Bytes of rodata capacity counted as resident, as recorded by the
+    /// loader.
     pub fn rodata_used(&self) -> u64 {
         self.rodata_used
     }
@@ -431,8 +438,9 @@ impl Memory {
         self.data_used
     }
 
-    /// Loader: record how many rodata bytes are actually occupied.
-    pub fn set_rodata_used(&mut self, n: u64) {
+    /// Loader: record how many rodata bytes are actually occupied
+    /// (kept across [`Memory::reset`], like the rodata bytes).
+    pub(crate) fn set_rodata_used(&mut self, n: u64) {
         self.rodata_used = n;
     }
 
@@ -451,21 +459,21 @@ impl Memory {
         self.heap.bytes.len() as u64
     }
 
-    /// Return the address space to its freshly-allocated state: all
-    /// segments zeroed (only dirty spans are touched) and every
-    /// high-water accounting mark cleared. The loader image is *not*
-    /// reinstalled — callers re-blit globals afterwards, exactly like
-    /// `Vm` construction does. This is the backbone of cheap session
-    /// respawns: a resident tenant that touched 40 KB of an 8 MB stack
-    /// pays for 40 KB.
+    /// Return data, heap and stack to their freshly-allocated state:
+    /// zeroed (only dirty spans are touched), with their high-water
+    /// accounting cleared. Rodata and `rodata_used`
+    /// stay as the loader left them: only the loader can write rodata,
+    /// so no run can have changed it. The data image is *not*
+    /// reinstalled — callers re-blit the data globals afterwards.
+    /// This is the backbone of cheap session respawns: a resident
+    /// tenant that touched 40 KB of an 8 MB stack pays for 40 KB, and
+    /// never for its read-only P-BOX.
     pub fn reset(&mut self) {
-        self.rodata.wipe();
         self.data.wipe();
         self.heap.wipe();
         self.stack.wipe();
         self.stack_low_water = layout::STACK_TOP;
         self.heap_high_water = 0;
-        self.rodata_used = 0;
         self.data_used = 0;
     }
 
@@ -613,22 +621,27 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_dirty_bytes_and_accounting() {
+    fn reset_zeroes_writable_bytes_and_keeps_rodata() {
         let mut m = mem();
         m.write(layout::DATA_BASE + 64, &[0xaa; 32]).unwrap();
+        m.write(layout::HEAP_BASE + 8, &[0xdd; 16]).unwrap();
         m.write(layout::STACK_TOP - 512, &[0xbb; 128]).unwrap();
         m.write_init(layout::RODATA_BASE + 16, &[0xcc; 8]).unwrap();
         m.set_rodata_used(24);
         m.set_data_used(96);
         m.note_heap_used(1000);
-        assert!(m.peak_rss() > 0);
+        m.note_stack_pointer(layout::STACK_TOP - 512);
+        assert_eq!(m.peak_rss(), 24 + 96 + 1000 + 512);
         m.reset();
         assert_eq!(m.read_uint(layout::DATA_BASE + 64, 8).unwrap(), 0);
+        assert_eq!(m.read_uint(layout::HEAP_BASE + 8, 8).unwrap(), 0);
         assert_eq!(m.read_uint(layout::STACK_TOP - 512, 8).unwrap(), 0);
-        assert_eq!(m.read(layout::RODATA_BASE + 16, 1).unwrap()[0], 0);
-        assert_eq!(m.peak_rss(), 0);
-        assert_eq!(m.rodata_used(), 0);
+        // The loader image and its accounting survive: only the loader
+        // writes rodata, so a reset never has anything there to undo.
+        assert_eq!(m.read(layout::RODATA_BASE + 16, 8).unwrap(), &[0xcc; 8]);
+        assert_eq!(m.rodata_used(), 24);
         assert_eq!(m.data_used(), 0);
+        assert_eq!(m.peak_rss(), 24);
     }
 
     #[test]
