@@ -40,7 +40,7 @@ use smokestack_ir::Module;
 use smokestack_minic::compile;
 use smokestack_vm::{
     exit_class, ExecBackend, Executor, Exit, FaultKind, IncidentReport, RunOutcome, RunReport,
-    SharedCollector, SharedRecorder, Vm, VmConfig,
+    SharedRecorder, Vm, VmConfig,
 };
 
 /// Outcome of one exploit attempt.
@@ -96,7 +96,7 @@ pub struct Build {
     pub deployment: Deployment,
     /// Compile-time seed used (drives static permutations/padding).
     pub build_seed: u64,
-    /// The VM session: module, scheme, optional telemetry collector,
+    /// The VM session: module, scheme, optional flight recorder,
     /// and the shared compiled bytecode image.
     executor: Executor,
 }
@@ -156,18 +156,11 @@ impl Build {
         }
     }
 
-    /// Attach a telemetry collector to every VM this build spawns, so
-    /// campaigns surface guard checks, faults, and attacker input
-    /// requests as structured events.
-    pub fn with_tracer(mut self, collector: SharedCollector) -> Build {
-        self.executor = self.executor.with_tracer(collector);
-        self
-    }
-
-    /// Attach a flight recorder to every VM this build spawns. Cheaper
-    /// than a collector (no per-instruction cycle hook), so recording
-    /// does not perturb the decicycle clock; [`capture_incident`] uses
-    /// a recorder fork to re-derive a deciding attempt byte-for-byte.
+    /// Attach a flight recorder to every VM this build spawns, so
+    /// campaigns surface guard checks, faults, layout draws, and
+    /// attacker input requests as structured events. Recording does
+    /// not perturb the decicycle clock; [`capture_incident`] uses a
+    /// recorder fork to re-derive a deciding attempt byte-for-byte.
     pub fn with_recorder(mut self, recorder: SharedRecorder) -> Build {
         self.executor = self.executor.with_recorder(recorder);
         self
@@ -185,15 +178,9 @@ impl Build {
         self.executor.module()
     }
 
-    /// The underlying VM session (module + compiled image + tracer).
+    /// The underlying VM session (module + compiled image + recorder).
     pub fn executor(&self) -> &Executor {
         &self.executor
-    }
-
-    /// The telemetry collector attached via [`Build::with_tracer`], if
-    /// any.
-    pub fn tracer(&self) -> Option<&SharedCollector> {
-        self.executor.tracer()
     }
 
     /// Per-run ASLR offset: only `DefenseKind::StackBase` re-draws the
@@ -523,23 +510,6 @@ pub fn evaluate(attack: &dyn Attack, defense: DefenseKind, trials: u32) -> Attac
     evaluate_seeded(attack, defense, trials, 0xa77a)
 }
 
-/// [`evaluate_seeded`] with a telemetry collector attached to every
-/// trial VM: the collector accumulates guard-check outcomes, faults,
-/// and attacker input requests across the whole evaluation, giving the
-/// security matrix an evidence trail (how many epilogue checks fired,
-/// how the attacker probed) instead of just a verdict.
-pub fn evaluate_traced(
-    attack: &dyn Attack,
-    defense: DefenseKind,
-    trials: u32,
-    base_seed: u64,
-    collector: &SharedCollector,
-) -> AttackEval {
-    let build =
-        Build::new(attack.source(), defense, base_seed ^ 0xb11d).with_tracer(collector.clone());
-    evaluate_build(attack, &build, trials, base_seed)
-}
-
 /// [`evaluate`] with an explicit base seed.
 pub fn evaluate_seeded(
     attack: &dyn Attack,
@@ -711,7 +681,6 @@ mod tests {
             rng_invocations: 0,
             breakdown: Default::default(),
             alloca_trace: vec![],
-            per_function: vec![],
             sched_digest: 0,
         };
         // Goal met always wins, even over faults.
@@ -751,25 +720,21 @@ mod tests {
 
     #[test]
     fn traced_evaluation_records_attack_evidence() {
-        // A traced campaign leaves a telemetry evidence trail: the
+        // A recorded campaign leaves a telemetry evidence trail: the
         // attacker's input requests and the epilogue guard checks of
-        // the hardened build all appear in the shared collector.
-        let collector = SharedCollector::default();
-        let eval = evaluate_traced(
-            &listing1::Listing1Attack,
-            DefenseKind::Smokestack(smokestack_srng::SchemeKind::Aes10),
-            1,
-            42,
-            &collector,
-        );
+        // the hardened build all appear in the shared recorder.
+        let recorder = SharedRecorder::default();
+        let attack = listing1::Listing1Attack;
+        let defense = DefenseKind::Smokestack(smokestack_srng::SchemeKind::Aes10);
+        let build =
+            Build::new(attack.source(), defense, 42 ^ 0xb11d).with_recorder(recorder.clone());
+        let eval = evaluate_build(&attack, &build, 1, 42);
         assert_eq!(eval.trials, 1);
-        collector.with(|c| {
-            assert!(c.metrics().counter("input_requests") > 0, "no input events");
-            let checks = c.metrics().counter("guard_checks.passed")
-                + c.metrics().counter("guard_checks.failed");
-            assert!(checks > 0, "no guard-check events traced");
-            assert!(c.metrics().counter("runs") >= 1);
-        });
+        let m = recorder.with(|r| r.to_metrics());
+        assert!(m.counter("input_requests") > 0, "no input events");
+        let checks = m.counter("guard_checks.passed") + m.counter("guard_checks.failed");
+        assert!(checks > 0, "no guard-check events traced");
+        assert!(m.counter("runs") >= 1);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Baseline-vs-hardened VM execution for one representative call-heavy
 //! workload (xalancbmk) and one loop kernel (lbm) — the two poles of
-//! Figure 3 — plus the telemetry tracer's own host-side overhead
-//! (collector attached vs. the default no-tracer configuration).
+//! Figure 3 — plus the flight recorder's own host-side overhead
+//! (recorder attached vs. the default no-recorder configuration).
 
 use smokestack_bench::harness::{bench, group};
 use smokestack_core::{harden, SmokestackConfig};
 use smokestack_srng::SchemeKind;
-use smokestack_vm::{CollectorConfig, Executor, ScriptedInput, SharedCollector};
+use smokestack_vm::{Executor, ScriptedInput, SharedRecorder};
 use smokestack_workloads::by_name;
 
 fn run(name: &str, hardened: bool, scheme: SchemeKind, trace: bool) {
@@ -17,7 +17,7 @@ fn run(name: &str, hardened: bool, scheme: SchemeKind, trace: bool) {
     }
     let mut exec = Executor::for_module(m).scheme(scheme);
     if trace {
-        exec = exec.tracer(SharedCollector::new(CollectorConfig::default()));
+        exec = exec.recorder(SharedRecorder::default());
     }
     let out = exec.build().run_main(ScriptedInput::empty());
     assert!(out.exit.is_clean());

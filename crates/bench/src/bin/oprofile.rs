@@ -1,8 +1,9 @@
 //! The paper's §V-A OProfile analysis, reproduced from live telemetry:
 //! where the hardened builds' cycles go, per benchmark *and per
 //! function*, and the call-rate statistic that explains Figure 3's
-//! ordering. Every number is attributed by the per-function profiler
-//! during an instrumented run — nothing here is hardcoded.
+//! ordering. Every number is attributed by the flight recorder's
+//! per-function spans during an instrumented run — nothing here is
+//! hardcoded.
 
 use smokestack_bench::profile_data;
 use smokestack_vm::CycleCategory;

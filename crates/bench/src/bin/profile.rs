@@ -4,19 +4,20 @@
 //! cargo run --bin profile -- <workload> [scheme] [seed]
 //! ```
 //!
-//! Runs the Smokestack-hardened build with the collector attached and
-//! writes, under `target/profile/<workload>/`:
+//! Runs the Smokestack-hardened build with the flight recorder attached
+//! and writes, under `target/profile/<workload>/`:
 //!
-//! * `trace.jsonl`    — the retained structured event trace
+//! * `trace.jsonl`    — the retained structured event trace (the last
+//!   4096 events)
 //! * `metrics.json`   — the metrics registry (counters, gauges,
-//!   histograms, per-function P-BOX index frequency tables)
+//!   streaming histograms, per-function P-BOX index frequency tables)
 //! * `collapsed.txt`  — collapsed-stack lines for flamegraph tooling
 //!
-//! and prints a flat per-function profile whose totals are checked to
-//! sum to the run's decicycles.
+//! and prints a flat per-function profile. Exits non-zero unless the
+//! per-function totals sum to the run's decicycles.
 
 use std::fs;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 use smokestack_bench::profile_workload;
@@ -73,20 +74,27 @@ fn main() -> ExitCode {
 
     // Event trace.
     let trace_path = format!("{dir}/trace.jsonl");
-    let file = fs::File::create(&trace_path).expect("create trace.jsonl");
-    let mut sink = smokestack_telemetry::JsonlSink::new(BufWriter::new(file));
-    shared.with(|c| c.drain_to(&mut sink));
-    let lines = sink.written();
-    sink.finish().expect("flush trace.jsonl");
+    let mut trace = BufWriter::new(fs::File::create(&trace_path).expect("create trace.jsonl"));
+    let lines = shared.with(|r| {
+        let events = r.events();
+        for ev in &events {
+            writeln!(trace, "{}", ev.to_json(r.names())).expect("write trace.jsonl");
+        }
+        events.len()
+    });
+    trace.flush().expect("flush trace.jsonl");
 
     // Metrics registry.
     let metrics_path = format!("{dir}/metrics.json");
-    fs::write(&metrics_path, shared.with(|c| c.metrics().to_json()) + "\n")
-        .expect("write metrics.json");
+    fs::write(
+        &metrics_path,
+        shared.with(|r| r.to_metrics().to_json()) + "\n",
+    )
+    .expect("write metrics.json");
 
     // Collapsed stacks.
     let collapsed_path = format!("{dir}/collapsed.txt");
-    let collapsed = shared.with(|c| c.collapsed_lines());
+    let collapsed = shared.with(|r| r.collapsed_lines());
     fs::write(&collapsed_path, collapsed.join("\n") + "\n").expect("write collapsed.txt");
 
     println!(
@@ -105,7 +113,8 @@ fn main() -> ExitCode {
         "{:<22} {:>8} {:>12} {:>7} {:>7} {:>7}",
         "function", "calls", "decicycles", "rng%", "mem%", "ctrl%"
     );
-    for f in &out.per_function {
+    let flat = shared.with(|r| r.flat_profile());
+    for f in &flat {
         let t = f.total().max(1);
         println!(
             "{:<22} {:>8} {:>12} {:>6.1}% {:>6.1}% {:>6.1}%",
@@ -118,7 +127,7 @@ fn main() -> ExitCode {
         );
     }
 
-    let flat_sum: u64 = out.per_function.iter().map(|f| f.total()).sum();
+    let flat_sum: u64 = flat.iter().map(|f| f.total()).sum();
     if flat_sum == out.decicycles {
         println!("\nattribution check: per-function totals sum to {flat_sum} decicycles ✓");
         ExitCode::SUCCESS

@@ -12,7 +12,7 @@
 //!
 //! Hand-rolled benches (`cargo bench`, see [`harness`]) additionally
 //! measure host wall-clock for the RNG sources, the permutation engine,
-//! baseline-vs-hardened VM execution, and the telemetry tracer's
+//! baseline-vs-hardened VM execution, and the flight recorder's
 //! enabled-vs-disabled overhead.
 //!
 //! The `profile` binary captures a full telemetry profile (JSONL event
@@ -28,7 +28,7 @@ use smokestack_attacks::{evaluate_seeded, standard_suite, AttackEval};
 use smokestack_core::{harden, SmokestackConfig};
 use smokestack_defenses::DefenseKind;
 use smokestack_srng::SchemeKind;
-use smokestack_telemetry::{CollectorConfig, FunctionCycles, SharedCollector};
+use smokestack_telemetry::{FunctionCycles, RecorderConfig, SharedRecorder};
 use smokestack_vm::{Executor, RunOutcome, ScriptedInput};
 use smokestack_workloads::{all as all_workloads, Workload, WorkloadClass};
 
@@ -207,10 +207,10 @@ mod tests {
         let w = smokestack_workloads::by_name("xalancbmk").unwrap();
         let (out, shared) = profile_workload(&w, SchemeKind::Aes10, 7);
         assert!(out.exit.is_clean());
-        let flat_sum: u64 = out.per_function.iter().map(|f| f.total()).sum();
+        let flat_sum: u64 = shared.with(|r| r.flat_profile().iter().map(|f| f.total()).sum());
         assert_eq!(flat_sum, out.decicycles);
-        let collapsed_sum: u64 = shared.with(|c| {
-            c.collapsed_lines()
+        let collapsed_sum: u64 = shared.with(|r| {
+            r.collapsed_lines()
                 .iter()
                 .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
                 .sum()
@@ -235,21 +235,23 @@ mod tests {
 // Extensions: OProfile-style breakdown and Section III-E ablations.
 // ---------------------------------------------------------------------
 
-/// Run one workload hardened under `scheme` with a full telemetry
-/// collector attached; returns the outcome (whose `per_function` table
-/// is populated) and the collector handle for trace/metrics access.
+/// Run one workload hardened under `scheme` with a flight recorder
+/// attached (a 4096-event window); returns the outcome and the
+/// recorder handle for trace, metrics, and per-function attribution.
 pub fn profile_workload(
     w: &Workload,
     scheme: SchemeKind,
     seed: u64,
-) -> (RunOutcome, SharedCollector) {
+) -> (RunOutcome, SharedRecorder) {
     let mut m = w.compile().expect("corpus compiles");
     harden(&mut m, &SmokestackConfig::default()).unwrap();
-    let shared = SharedCollector::new(CollectorConfig::default());
+    let shared = SharedRecorder::new(RecorderConfig {
+        ring_capacity: 4096,
+    });
     let out = Executor::for_module(m)
         .scheme(scheme)
         .trng_seed(seed)
-        .tracer(shared.clone())
+        .recorder(shared.clone())
         .build()
         .run_main(ScriptedInput::empty());
     (out, shared)
@@ -257,7 +259,7 @@ pub fn profile_workload(
 
 /// One benchmark's cycle breakdown under the AES-10 hardened build —
 /// the analog of the paper's OProfile RESOURCE_STALLS analysis (§V-A),
-/// now attributed per function by the live telemetry profiler.
+/// now attributed per function by the live flight recorder.
 #[derive(Debug, Clone)]
 pub struct ProfileRow {
     /// Benchmark name.
@@ -279,14 +281,14 @@ pub fn profile_data() -> Vec<ProfileRow> {
     all_workloads()
         .iter()
         .map(|w| {
-            let (out, _shared) = profile_workload(w, SchemeKind::Aes10, 7);
+            let (out, shared) = profile_workload(w, SchemeKind::Aes10, 7);
             let b = out.breakdown;
             ProfileRow {
                 name: w.name,
                 breakdown: b,
                 rng_share: b.share(b.rng),
                 draws_per_mcycle: out.rng_invocations as f64 / (out.cycles() / 1.0e6),
-                per_function: out.per_function,
+                per_function: shared.with(|r| r.flat_profile()),
             }
         })
         .collect()

@@ -28,10 +28,7 @@ use std::sync::Mutex;
 
 use smokestack_attacks::{by_name, capture_incident, run_trial, Attack, Build};
 use smokestack_rand::SeedStream;
-use smokestack_telemetry::{
-    CollectorConfig, IncidentReport, MetricsRegistry, SharedCollector, SharedJsonlSink,
-    SharedRecorder,
-};
+use smokestack_telemetry::{IncidentReport, MetricsRegistry, SharedJsonlSink, SharedRecorder};
 
 use crate::plan::CampaignPlan;
 use crate::pool::run_pool;
@@ -75,18 +72,17 @@ pub struct EngineConfig {
     /// `jobs - 1` extra records may land. Tests use this to simulate a
     /// campaign killed mid-grid.
     pub stop_after: Option<u64>,
-    /// Attach a metrics collector to every trial VM and merge the
-    /// per-function P-BOX index frequency tables into the result's
-    /// registry, for chi-squared layout-uniformity checks.
+    /// Attach a flight recorder to every trial VM and merge its
+    /// metrics — including the per-function `pbox_index.<function>`
+    /// frequency tables — into the result's registry, for chi-squared
+    /// layout-uniformity checks.
     pub trace_uniformity: bool,
     /// Attach a flight recorder to every trial VM and merge per-defense
     /// `trial_decicycles.<defense>` latency streams plus per-attack
     /// `ttd_rounds.<attack>` time-to-detection streams into the
     /// result's registry. Stream merges are bucket-wise adds, so
-    /// aggregates stay bit-identical across worker counts. When
-    /// `trace_uniformity` is also set the collector takes tracer
-    /// precedence and the latency streams stay empty (the collector is
-    /// the heavier instrument; pick one per run).
+    /// aggregates stay bit-identical across worker counts. Combines
+    /// freely with `trace_uniformity`: one recorder feeds both.
     pub collect_stats: bool,
     /// Re-run every blocked (detected/crashed) trial with a flight
     /// recorder and drain it into an [`IncidentReport`]: collected on
@@ -140,7 +136,6 @@ struct Trial {
 struct CellCtx {
     attack: Box<dyn Attack>,
     build: Build,
-    collector: Option<SharedCollector>,
     recorder: Option<SharedRecorder>,
     defense_label: String,
 }
@@ -153,25 +148,13 @@ fn make_ctx(plan: &CampaignPlan, cell: u32, cfg: &EngineConfig) -> CellCtx {
         spec.defense,
         build_seed(plan.master_seed, cell),
     );
-    let collector = cfg.trace_uniformity.then(|| {
-        SharedCollector::new(CollectorConfig {
-            ring_capacity: 16,
-            trace: false,
-            metrics: true,
-            profile: false,
-        })
-    });
-    if let Some(c) = &collector {
-        build = build.with_tracer(c.clone());
-    }
-    let recorder = cfg.collect_stats.then(SharedRecorder::default);
+    let recorder = (cfg.trace_uniformity || cfg.collect_stats).then(SharedRecorder::default);
     if let Some(r) = &recorder {
         build = build.with_recorder(r.clone());
     }
     CellCtx {
         attack,
         build,
-        collector,
         recorder,
         defense_label: spec.defense.label(),
     }
@@ -249,13 +232,13 @@ pub fn run_campaign(
         |cache| {
             let mut reg = metrics.lock().unwrap();
             for ctx in cache.values() {
-                if let Some(c) = &ctx.collector {
-                    c.with(|c| reg.merge(c.metrics()));
-                }
                 if let Some(r) = &ctx.recorder {
                     r.with(|r| {
+                        if cfg.trace_uniformity {
+                            reg.merge(&r.to_metrics());
+                        }
                         let stats = r.stats();
-                        if stats.run_decicycles.count() > 0 {
+                        if cfg.collect_stats && stats.run_decicycles.count() > 0 {
                             reg.merge_stream(
                                 &format!("trial_decicycles.{}", ctx.defense_label),
                                 &stats.run_decicycles,

@@ -4,7 +4,7 @@
 //! The Monte-Carlo engine and the differential fuzzer share the same
 //! parallelism shape: a fixed task list fanned across `jobs` workers,
 //! each worker keeping private (non-`Send`) state — a build cache, a
-//! telemetry collector — that is created inside the worker thread and
+//! flight recorder — that is created inside the worker thread and
 //! drained when the queue runs dry. This module is that shape, exposed
 //! as a public API so other subsystems stop re-rolling it.
 //!
@@ -62,7 +62,7 @@ impl DrainGate {
 /// Fan `tasks` across `jobs` scoped worker threads.
 ///
 /// * `init(worker)` builds each worker's private state inside its own
-///   thread, so the state need not be `Send` (telemetry collectors are
+///   thread, so the state need not be `Send` (flight recorders are
 ///   `Rc`-based).
 /// * `step(state, task)` runs one task to a result.
 /// * `drain(state)` runs once per worker after its loop ends — the hook

@@ -1,8 +1,7 @@
 //! [`StreamingHistogram`]: a log-bucketed histogram with linear
 //! sub-buckets, precise enough for streaming percentile estimation.
 //!
-//! The coarse [`Histogram`](crate::Histogram) in the metrics registry
-//! has one bucket per power of two — fine for shape, useless for p99
+//! One bucket per power of two is fine for shape but useless for p99
 //! (a bucket spans a 2x range). This histogram subdivides every octave
 //! into `2^SUB_BITS = 32` linear sub-buckets, bounding the relative
 //! quantile error at 1/32 ≈ 3.1% (half that when reporting bucket

@@ -381,7 +381,6 @@ mod tests {
     use super::*;
     use crate::event::GuardKind;
     use crate::recorder::RecorderConfig;
-    use crate::Tracer;
 
     fn sample_report() -> IncidentReport {
         IncidentReport {
@@ -473,13 +472,14 @@ mod tests {
 
     #[test]
     fn from_recorder_extracts_victim_frame_and_layout() {
+        let alu = |n: u64| [0, 0, n, 0, 0, 0];
         let mut r = FlightRecorder::new(RecorderConfig { ring_capacity: 64 });
         r.on_functions(&["main".to_string(), "parse".to_string()]);
-        r.on_event(0, &Event::FuncEnter { func: 0, depth: 1 });
-        r.on_event(5, &Event::PboxSelect { func: 1, index: 3 });
-        r.on_event(6, &Event::FuncEnter { func: 1, depth: 2 });
+        r.on_event(&alu(0), &Event::FuncEnter { func: 0, depth: 1 });
+        r.on_event(&alu(5), &Event::PboxSelect { func: 1, index: 3 });
+        r.on_event(&alu(6), &Event::FuncEnter { func: 1, depth: 2 });
         r.on_event(
-            7,
+            &alu(7),
             &Event::Alloca {
                 func: 1,
                 addr: 0x7fff_f000,
@@ -487,7 +487,7 @@ mod tests {
             },
         );
         r.on_event(
-            8,
+            &alu(8),
             &Event::Alloca {
                 func: 1,
                 addr: 0x7fff_f018,
@@ -495,7 +495,7 @@ mod tests {
             },
         );
         r.on_event(
-            90,
+            &alu(90),
             &Event::GuardCheck {
                 func: 1,
                 kind: GuardKind::Word,
@@ -503,13 +503,13 @@ mod tests {
             },
         );
         r.on_event(
-            91,
+            &alu(91),
             &Event::Fault {
                 what: "guard violation in parse".to_string(),
             },
         );
         r.on_event(
-            91,
+            &alu(91),
             &Event::RunEnd {
                 peak_rss: 8192,
                 decicycles: 91,

@@ -1,4 +1,4 @@
-//! Observability for the Smokestack VM, built around an always-on
+//! Observability for the Smokestack VM, built around one tracer: the
 //! **flight recorder**.
 //!
 //! The paper's evaluation is observability end to end — §V-A attributes
@@ -6,14 +6,16 @@
 //! OProfile, and §IV argues security from the *uniformity* of the layout
 //! draws. This crate is the in-simulation analog of that tooling:
 //!
-//! * [`FlightRecorder`] / [`SharedRecorder`] — the always-on layer. A
+//! * [`FlightRecorder`] / [`SharedRecorder`] — the VM's tracer. A
 //!   bounded ring of compact 32-byte [`CompactRecord`]s (no allocation
 //!   or formatting on the hot path), hierarchical spans
-//!   (session → run → function-call → guard-check) with cycle-accurate
-//!   self/child time ([`SpanRecorder`]), and fixed-slot statistics
-//!   materialized into names only at drain time. It declines the
-//!   per-charge hook ([`Tracer::wants_cycles`]), so the VM's
-//!   per-instruction path is untouched.
+//!   (session → run → function-call → guard-check) over a call-path
+//!   trie with per-category self time ([`SpanRecorder`]), and
+//!   fixed-slot statistics materialized into names only at drain time.
+//!   The VM hands it the category clock with each event and never
+//!   calls it per instruction; the per-function flat profile
+//!   ([`FunctionCycles`]) and collapsed stacks come from span
+//!   boundaries alone and sum exactly to the run's decicycles.
 //! * [`IncidentReport`] — fault forensics: on any fault or guard trip
 //!   the recorder window drains into a structured, schema-versioned
 //!   JSON report (scheme, layout draw, frame map of the victim
@@ -22,53 +24,44 @@
 //! * [`StreamingHistogram`] — log-bucketed with linear sub-buckets:
 //!   streaming p50/p95/p99/p999 within ~3%, mergeable across threads
 //!   with bit-identical fold-order-independent results.
-//! * [`MetricsRegistry`] — counters, gauges, histograms, and
+//! * [`MetricsRegistry`] — counters, gauges, streaming histograms, and
 //!   per-function permutation-index frequency tables with a
 //!   chi-squared uniformity statistic; [`render_prometheus`] exposes a
 //!   registry in Prometheus text format.
-//! * [`Collector`] / [`Profiler`] — the opt-in *deep* profiler: hooks
-//!   every cycle charge for exact per-category per-function
-//!   attribution and collapsed-stack flamegraph lines. Costs ~1.3x;
-//!   use the recorder unless you need category splits.
+//! * [`SharedJsonlSink`] — a line-atomic JSONL journal shared by
+//!   campaign and serve workers.
 //!
-//! The VM talks to all of this through the [`Tracer`] trait. The default
-//! is no tracer at all (`None` on `VmConfig`), and every emit site in the
-//! VM is guarded by a cheap `is-some` check, so the disabled path costs
-//! nothing measurable.
+//! The default is no recorder at all (`None` on `VmConfig`), and every
+//! emit site in the VM is guarded by a cheap `is-some` check, so the
+//! disabled path costs nothing measurable.
 //!
 //! Everything here is dependency-free by design (hand-rolled JSON, no
 //! serde): the workspace builds in registry-less environments.
 
-pub mod collector;
 pub mod event;
 pub mod histogram;
 pub mod incident;
 pub mod json;
 pub mod metrics;
-pub mod profile;
 pub mod prometheus;
 pub mod record;
 pub mod recorder;
-pub mod ring;
 pub mod sink;
 pub mod spans;
 
-pub use collector::{Collector, CollectorConfig, SharedCollector};
 pub use event::{Event, GuardKind, TracedEvent};
 pub use histogram::StreamingHistogram;
 pub use incident::{FaultAccess, FrameSlot, IncidentReport, INCIDENT_SCHEMA};
-pub use metrics::{chi_squared_uniform, FreqTable, Histogram, MetricsRegistry};
-pub use profile::{FunctionCycles, Profiler};
+pub use metrics::{chi_squared_uniform, FreqTable, MetricsRegistry};
 pub use prometheus::render_prometheus;
 pub use record::{CompactRecord, RecordKind, RecordRing};
 pub use recorder::{FlightRecorder, RecorderConfig, RecorderStats, SharedRecorder};
-pub use ring::EventRing;
-pub use sink::{EventSink, JsonlSink, MemorySink, SharedJsonlSink};
-pub use spans::{SessionStats, SpanRecorder, SpanStats};
+pub use sink::SharedJsonlSink;
+pub use spans::{FunctionCycles, SpanRecorder};
 
 /// The cycle-accounting categories of the VM's `CycleBreakdown`,
-/// mirrored here so the VM can report charges without a dependency
-/// cycle (telemetry must not depend on the VM).
+/// mirrored here so the VM can hand the recorder its category clock
+/// without a dependency cycle (telemetry must not depend on the VM).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CycleCategory {
     /// Entropy draws (`stack_rng`).
@@ -96,7 +89,7 @@ impl CycleCategory {
         CycleCategory::Bulk,
     ];
 
-    /// Stable index into per-function cycle arrays.
+    /// Stable index into category clocks and per-function cycle arrays.
     pub fn index(self) -> usize {
         match self {
             CycleCategory::Rng => 0,
@@ -120,49 +113,3 @@ impl CycleCategory {
         }
     }
 }
-
-/// Hook the VM calls while executing. All methods default to no-ops so
-/// custom tracers override only what they need.
-///
-/// Contract with the VM:
-/// * `on_functions` is called once, before execution, with the module's
-///   function names; events refer to functions by index into that slice.
-/// * `on_event` receives the current decicycle clock and the event.
-/// * `on_cycles` is called for **every** decicycle charge the VM makes,
-///   tagged with its category; summing all charges reproduces the run's
-///   `decicycles` exactly.
-/// * `flat_profile` is called once when the run ends; return the
-///   per-function attribution if this tracer maintains one.
-pub trait Tracer {
-    /// Module function names; events use indices into this slice.
-    fn on_functions(&mut self, _names: &[String]) {}
-
-    /// A structured event at decicycle time `_now`.
-    fn on_event(&mut self, _now: u64, _ev: &Event) {}
-
-    /// A cycle charge of `_decicycles` in category `_cat`.
-    fn on_cycles(&mut self, _cat: CycleCategory, _decicycles: u64) {}
-
-    /// Whether this tracer needs the per-charge [`Tracer::on_cycles`]
-    /// hook at all. The VM caches this once at construction: a tracer
-    /// that returns `false` (like the
-    /// [`FlightRecorder`](crate::FlightRecorder)) costs nothing on the
-    /// per-instruction charge path — `charge()` stays a plain integer
-    /// add. Defaults to `true` (the deep-profiling
-    /// [`Collector`](crate::Collector) needs every charge).
-    fn wants_cycles(&self) -> bool {
-        true
-    }
-
-    /// Per-function cycle attribution, if maintained.
-    fn flat_profile(&self) -> Option<Vec<FunctionCycles>> {
-        None
-    }
-}
-
-/// A tracer that ignores everything (useful for overhead measurements
-/// of the *enabled-but-empty* path, as opposed to `None` = disabled).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopTracer;
-
-impl Tracer for NoopTracer {}

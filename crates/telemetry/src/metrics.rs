@@ -1,154 +1,10 @@
-//! Counters, gauges, log₂ histograms, streaming percentile histograms,
-//! and permutation-index frequency tables with a chi-squared
-//! uniformity statistic.
+//! Counters, gauges, streaming percentile histograms, and
+//! permutation-index frequency tables with a chi-squared uniformity
+//! statistic.
 
 use crate::histogram::StreamingHistogram;
 use crate::json::push_json_str;
 use std::collections::BTreeMap;
-
-/// A log₂-bucketed histogram of `u64` samples.
-///
-/// Bucket 0 holds exactly the value 0; bucket `b ≥ 1` holds values in
-/// `[2^(b-1), 2^b)`. 65 buckets cover the whole `u64` range.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    counts: [u64; 65],
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram::new()
-    }
-}
-
-impl Histogram {
-    /// An empty histogram.
-    pub fn new() -> Histogram {
-        Histogram {
-            counts: [0; 65],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    /// Bucket index for `value`.
-    pub fn bucket_of(value: u64) -> usize {
-        if value == 0 {
-            0
-        } else {
-            64 - value.leading_zeros() as usize
-        }
-    }
-
-    /// Inclusive lower bound of bucket `b`.
-    pub fn bucket_lo(b: usize) -> u64 {
-        if b == 0 {
-            0
-        } else {
-            1u64 << (b - 1)
-        }
-    }
-
-    /// Inclusive upper bound of bucket `b`.
-    pub fn bucket_hi(b: usize) -> u64 {
-        if b == 0 {
-            0
-        } else if b >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << b) - 1
-        }
-    }
-
-    /// Record one sample.
-    pub fn observe(&mut self, value: u64) {
-        self.counts[Self::bucket_of(value)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Fold another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of samples (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest sample, or 0 when empty.
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample, or 0 when empty.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Mean sample, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Per-bucket counts (index = bucket).
-    pub fn counts(&self) -> &[u64; 65] {
-        &self.counts
-    }
-
-    /// Compact JSON: only non-empty buckets, keyed by their lower bound.
-    fn to_json(&self) -> String {
-        let mut s = String::from("{\"count\":");
-        s.push_str(&self.count.to_string());
-        s.push_str(&format!(
-            ",\"sum\":{},\"min\":{},\"max\":{},\"buckets\":{{",
-            self.sum,
-            self.min(),
-            self.max
-        ));
-        let mut first = true;
-        for (b, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!("\"{}\":{}", Self::bucket_lo(b), c));
-        }
-        s.push_str("}}");
-        s
-    }
-}
 
 /// Chi-squared statistic of `counts` against the uniform distribution
 /// over its bins. Returns 0.0 for degenerate inputs (fewer than two
@@ -218,7 +74,7 @@ impl FreqTable {
     }
 }
 
-/// Named counters, gauges, histograms, and frequency tables.
+/// Named counters, gauges, streaming histograms, and frequency tables.
 ///
 /// Names are dotted strings (`rng_draws.AES-10`, `pbox_index.server`);
 /// `BTreeMap` keeps dumps deterministically ordered.
@@ -226,7 +82,6 @@ impl FreqTable {
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
     streams: BTreeMap<String, StreamingHistogram>,
     freq_tables: BTreeMap<String, FreqTable>,
 }
@@ -251,11 +106,6 @@ impl MetricsRegistry {
     pub fn gauge_max(&mut self, name: &str, value: u64) {
         let g = self.gauges.entry(name.to_string()).or_insert(0);
         *g = (*g).max(value);
-    }
-
-    /// Record `value` into histogram `name`.
-    pub fn observe(&mut self, name: &str, value: u64) {
-        self.histograms.entry_or_default(name).observe(value);
     }
 
     /// Record index `index` into frequency table `name`.
@@ -297,11 +147,6 @@ impl MetricsRegistry {
         self.gauges.get(name).copied()
     }
 
-    /// Histogram by name.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// Streaming percentile histogram by name.
     pub fn stream(&self, name: &str) -> Option<&StreamingHistogram> {
         self.streams.get(name)
@@ -322,11 +167,6 @@ impl MetricsRegistry {
         self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
-    /// All coarse histograms, ordered by name.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
     /// Frequency table by name.
     pub fn freq_table(&self, name: &str) -> Option<&FreqTable> {
         self.freq_tables.get(name)
@@ -338,16 +178,13 @@ impl MetricsRegistry {
     }
 
     /// Fold another registry into this one (counters add, gauges take
-    /// the max, histograms and tables merge).
+    /// the max, streams and tables merge).
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (k, v) in &other.counters {
             *self.entry_counter(k) += v;
         }
         for (k, &v) in &other.gauges {
             self.gauge_max(k, v);
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry_or_default(k).merge(h);
         }
         for (k, h) in &other.streams {
             self.streams.entry_or_default(k).merge(h);
@@ -385,17 +222,6 @@ impl MetricsRegistry {
             first = false;
             push_json_str(&mut s, k);
             s.push_str(&format!(":{v}"));
-        }
-        s.push_str("},\"histograms\":{");
-        first = true;
-        for (k, h) in &self.histograms {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            push_json_str(&mut s, k);
-            s.push(':');
-            s.push_str(&h.to_json());
         }
         s.push_str("},\"streams\":{");
         first = true;
@@ -444,56 +270,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bucket_boundaries() {
-        // Bucket 0 is exactly {0}; bucket b covers [2^(b-1), 2^b - 1].
-        assert_eq!(Histogram::bucket_of(0), 0);
-        assert_eq!(Histogram::bucket_of(1), 1);
-        assert_eq!(Histogram::bucket_of(2), 2);
-        assert_eq!(Histogram::bucket_of(3), 2);
-        assert_eq!(Histogram::bucket_of(4), 3);
-        assert_eq!(Histogram::bucket_of(7), 3);
-        assert_eq!(Histogram::bucket_of(8), 4);
-        assert_eq!(Histogram::bucket_of(u64::MAX), 64);
-        for b in 0..=64 {
-            assert_eq!(Histogram::bucket_of(Histogram::bucket_lo(b)), b);
-            assert_eq!(Histogram::bucket_of(Histogram::bucket_hi(b)), b);
-        }
-    }
-
-    #[test]
-    fn histogram_stats_and_merge() {
-        let mut a = Histogram::new();
-        for v in [0, 1, 5, 9] {
-            a.observe(v);
-        }
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.sum(), 15);
-        assert_eq!(a.min(), 0);
-        assert_eq!(a.max(), 9);
-        assert!((a.mean() - 3.75).abs() < 1e-12);
-
-        let mut b = Histogram::new();
-        b.observe(1 << 40);
-        a.merge(&b);
-        assert_eq!(a.count(), 5);
-        assert_eq!(a.max(), 1 << 40);
-        assert_eq!(a.counts()[41], 1);
-        // Merging an empty histogram is the identity.
-        let before = a.clone();
-        a.merge(&Histogram::new());
-        assert_eq!(a, before);
-    }
-
-    #[test]
-    fn empty_histogram_is_calm() {
-        let h = Histogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 0);
-        assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
     fn chi_squared_basics() {
         // Perfectly uniform -> 0.
         assert_eq!(chi_squared_uniform(&[10, 10, 10, 10]), 0.0);
@@ -526,17 +302,18 @@ mod tests {
         m.inc("rng_draws.AES-10", 3);
         m.gauge_max("peak_rss", 100);
         m.gauge_max("peak_rss", 50);
-        m.observe("frame_bytes", 48);
+        m.stream_observe("frame_bytes", 48);
         m.observe_index("pbox_index.server", 2);
         assert_eq!(m.counter("rng_draws.AES-10"), 3);
         assert_eq!(m.gauge("peak_rss"), Some(100));
-        assert_eq!(m.histogram("frame_bytes").unwrap().count(), 1);
+        assert_eq!(m.stream("frame_bytes").unwrap().count(), 1);
         assert_eq!(m.freq_table("pbox_index.server").unwrap().total(), 1);
 
         let json = m.to_json();
         assert!(json.contains("\"rng_draws.AES-10\":3"));
         assert!(json.contains("\"peak_rss\":100"));
         assert!(json.contains("\"chi_squared\""));
+        assert!(json.contains("\"streams\":{\"frame_bytes\":{"));
         // The dump is itself a flat-ish JSON object; spot-check balance.
         assert_eq!(
             json.matches('{').count(),
@@ -554,13 +331,13 @@ mod tests {
         b.inc("x", 2);
         b.inc("y", 5);
         b.gauge_max("g", 9);
-        b.observe("h", 7);
+        b.stream_observe("h", 7);
         b.observe_index("t", 3);
         a.merge(&b);
         assert_eq!(a.counter("x"), 3);
         assert_eq!(a.counter("y"), 5);
         assert_eq!(a.gauge("g"), Some(9));
-        assert_eq!(a.histogram("h").unwrap().count(), 1);
+        assert_eq!(a.stream("h").unwrap().count(), 1);
         let t = a.freq_table("t").unwrap();
         assert_eq!(t.total(), 2);
         assert_eq!(t.counts(), &[1, 0, 0, 1]);

@@ -7,8 +7,6 @@
 //!
 //! * counters get a `_total` suffix;
 //! * gauges are emitted as-is;
-//! * coarse log₂ histograms become `<name>_bucket{le="..."}` series
-//!   plus `_sum` and `_count`;
 //! * streaming percentile histograms become summaries:
 //!   `<name>{quantile="0.5|0.95|0.99|0.999"}` plus `_sum`/`_count`;
 //! * frequency tables become `<name>_total{index="i"}` series plus a
@@ -20,7 +18,7 @@
 //! `# HELP` line. Output ordering is deterministic (the registry is
 //! `BTreeMap`-backed).
 
-use crate::metrics::{Histogram, MetricsRegistry};
+use crate::metrics::MetricsRegistry;
 
 /// Sanitize a dotted registry name into a legal Prometheus metric name.
 pub fn sanitize_name(name: &str) -> String {
@@ -48,23 +46,6 @@ fn push_help_type(out: &mut String, name: &str, original: &str, kind: &str) {
     out.push_str(&format!("# TYPE {name} {kind}\n"));
 }
 
-fn push_coarse_histogram(out: &mut String, name: &str, h: &Histogram) {
-    let mut cum = 0u64;
-    for (b, &c) in h.counts().iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        cum += c;
-        out.push_str(&format!(
-            "{name}_bucket{{le=\"{}\"}} {cum}\n",
-            Histogram::bucket_hi(b)
-        ));
-    }
-    out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count()));
-    out.push_str(&format!("{name}_sum {}\n", h.sum()));
-    out.push_str(&format!("{name}_count {}\n", h.count()));
-}
-
 /// Render a registry in Prometheus text exposition format.
 pub fn render_prometheus(m: &MetricsRegistry) -> String {
     let mut out = String::new();
@@ -79,12 +60,6 @@ pub fn render_prometheus(m: &MetricsRegistry) -> String {
         let pname = sanitize_name(name);
         push_help_type(&mut out, &pname, name, "gauge");
         out.push_str(&format!("{pname} {value}\n"));
-    }
-
-    for (name, h) in m.histograms() {
-        let pname = sanitize_name(name);
-        push_help_type(&mut out, &pname, name, "histogram");
-        push_coarse_histogram(&mut out, &pname, h);
     }
 
     for (name, h) in m.streams() {
@@ -134,8 +109,6 @@ mod tests {
         let mut m = MetricsRegistry::new();
         m.inc("rng_draws.AES-10", 7);
         m.gauge_max("peak_rss", 4096);
-        m.observe("frame_bytes", 48);
-        m.observe("frame_bytes", 100);
         let mut s = StreamingHistogram::new();
         for v in [10, 20, 30, 40_000] {
             s.observe(v);
@@ -149,27 +122,13 @@ mod tests {
         assert!(text.contains("rng_draws_AES_10_total 7\n"));
         assert!(text.contains("# TYPE peak_rss gauge"));
         assert!(text.contains("peak_rss 4096\n"));
-        assert!(text.contains("# TYPE frame_bytes histogram"));
-        assert!(text.contains("frame_bytes_bucket{le=\"+Inf\"} 2\n"));
-        assert!(text.contains("frame_bytes_sum 148\n"));
         assert!(text.contains("# TYPE rng_cost_decicycles summary"));
         assert!(text.contains("rng_cost_decicycles{quantile=\"0.99\"}"));
+        assert!(text.contains("rng_cost_decicycles_sum 40060\n"));
         assert!(text.contains("rng_cost_decicycles_count 4\n"));
         assert!(text.contains("pbox_index_server_total{index=\"1\"} 0\n"));
         assert!(text.contains("pbox_index_server_chi_squared"));
         // HELP lines preserve the dotted original.
         assert!(text.contains("`rng_draws.AES-10`"));
-    }
-
-    #[test]
-    fn coarse_histogram_buckets_are_cumulative() {
-        let mut m = MetricsRegistry::new();
-        m.observe("h", 1);
-        m.observe("h", 1);
-        m.observe("h", 300);
-        let text = render_prometheus(&m);
-        assert!(text.contains("h_bucket{le=\"1\"} 2\n"));
-        assert!(text.contains("h_bucket{le=\"511\"} 3\n"));
-        assert!(text.contains("h_bucket{le=\"+Inf\"} 3\n"));
     }
 }

@@ -1,9 +1,8 @@
 //! Compact fixed-size flight-recorder records and their bounded ring.
 //!
-//! The [`EventRing`](crate::EventRing) stores full [`Event`] values in
-//! a `VecDeque` — fine for deep traces, but each push moves an enum
-//! with heap-holding variants. The flight recorder instead stores
-//! [`CompactRecord`]: 32 bytes, `Copy`, no pointers. The one variant
+//! The flight recorder does not store full [`Event`] values (an enum
+//! with heap-holding variants); it stores [`CompactRecord`]: 32 bytes,
+//! `Copy`, no pointers. The one variant
 //! that carries a string ([`Event::Fault`]) is interned into a side
 //! table owned by the recorder (faults are terminal, so this happens at
 //! most once per run and never on the steady-state hot path).

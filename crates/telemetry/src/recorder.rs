@@ -1,33 +1,28 @@
-//! [`FlightRecorder`]: the always-on observability tracer.
+//! [`FlightRecorder`]: the VM's tracer.
 //!
-//! The [`Collector`](crate::Collector) is a deep profiler: it hooks
-//! every cycle charge, formats metric names per event, and clones full
-//! [`Event`] values into a `VecDeque`. That buys per-category
-//! per-function attribution at a 1.29x run-time cost — too much to
-//! leave enabled everywhere.
-//!
-//! The flight recorder makes the opposite trade. On the hot path it
-//! does exactly three kinds of work, none of which allocate or format:
+//! On the hot path the recorder does exactly three kinds of work, none
+//! of which allocate or format:
 //!
 //! 1. flatten the event to a 32-byte [`CompactRecord`] and store it in
 //!    a preallocated power-of-two ring ([`RecordRing`]);
 //! 2. bump a **fixed-slot** statistic (struct fields and
 //!    index-addressed vectors — never a string-keyed map);
-//! 3. push/pop the [`SpanRecorder`] stack on function boundaries.
+//! 3. push/pop the [`SpanRecorder`] stack on function boundaries,
+//!    billing the category-clock advance to the span on top.
 //!
-//! Crucially it declines the per-instruction cycle hook
-//! ([`Tracer::wants_cycles`] returns `false`), so the VM's `charge()`
-//! fast path stays a plain integer add. String interning, metric-name
-//! materialization, and JSON rendering all happen at **drain time**
-//! ([`FlightRecorder::events`], [`FlightRecorder::to_metrics`]), after
-//! the run is over.
+//! The VM never calls into the recorder per instruction: its `charge()`
+//! path is two plain adds, and the per-category split is recovered at
+//! span boundaries from the clock each event carries. String
+//! interning, metric-name materialization, and JSON rendering all
+//! happen at **drain time** ([`FlightRecorder::events`],
+//! [`FlightRecorder::to_metrics`], [`FlightRecorder::flat_profile`],
+//! [`FlightRecorder::collapsed_lines`]), after the run is over.
 
 use crate::event::{Event, GuardKind};
 use crate::histogram::StreamingHistogram;
 use crate::metrics::{FreqTable, MetricsRegistry};
 use crate::record::{scheme_label, CompactRecord, RecordRing};
-use crate::spans::{SessionStats, SpanRecorder, SpanStats};
-use crate::{CycleCategory, Tracer};
+use crate::spans::{func_name, FunctionCycles, SpanRecorder};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -118,10 +113,7 @@ impl FlightRecorder {
 
     /// Resolve a function name (for drain-time rendering).
     pub fn func_name(&self, func: u32) -> String {
-        self.names
-            .get(func as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("#{func}"))
+        func_name(&self.names, func)
     }
 
     /// The raw record ring.
@@ -134,14 +126,22 @@ impl FlightRecorder {
         &self.stats
     }
 
-    /// Hierarchical span aggregates, indexed by function id.
-    pub fn span_stats(&self) -> &[SpanStats] {
-        self.spans.stats()
+    /// Runs completed.
+    pub fn runs(&self) -> u64 {
+        self.spans.runs()
     }
 
-    /// Session (all-runs) span aggregates.
-    pub fn session(&self) -> &SessionStats {
-        self.spans.session()
+    /// Per-function self time by cycle category, hottest first, plus a
+    /// `(vm)` row for time outside every frame. Totals sum to the
+    /// decicycles charged across all recorded runs.
+    pub fn flat_profile(&self) -> Vec<FunctionCycles> {
+        self.spans.flat_profile(&self.names)
+    }
+
+    /// Collapsed-stack lines (`main;helper;leaf <self decicycles>`) for
+    /// flamegraph tooling; counts sum like [`FlightRecorder::flat_profile`].
+    pub fn collapsed_lines(&self) -> Vec<String> {
+        self.spans.collapsed_lines(&self.names)
     }
 
     /// Interned fault strings, oldest first.
@@ -178,8 +178,7 @@ impl FlightRecorder {
 
     /// Materialize the fixed-slot statistics into a named
     /// [`MetricsRegistry`] (drain time: this is where strings are
-    /// built). The names match what the [`Collector`](crate::Collector)
-    /// would have produced, so campaign merging treats both alike.
+    /// built).
     pub fn to_metrics(&self) -> MetricsRegistry {
         let mut m = MetricsRegistry::new();
         for (id, &n) in self.stats.rng_draws.iter().enumerate() {
@@ -206,7 +205,7 @@ impl FlightRecorder {
             m.inc("input_requests", self.stats.input_requests);
             m.inc("input_bytes", self.stats.input_bytes);
         }
-        m.inc("runs", self.session().runs);
+        m.inc("runs", self.runs());
         m.gauge_max("peak_rss", self.stats.peak_rss);
         m.gauge_max("call_depth_max", self.stats.call_depth_max);
         if self.stats.rng_cost.count() > 0 {
@@ -225,10 +224,10 @@ impl FlightRecorder {
         }
         m
     }
-}
 
-impl Tracer for FlightRecorder {
-    fn on_functions(&mut self, names: &[String]) {
+    /// The VM's function table; events refer to functions by index
+    /// into it. Called once per VM, before it runs.
+    pub fn on_functions(&mut self, names: &[String]) {
         if self.names.is_empty() {
             self.names = names.to_vec();
         }
@@ -239,18 +238,23 @@ impl Tracer for FlightRecorder {
         }
     }
 
-    fn on_event(&mut self, now: u64, ev: &Event) {
+    /// One event at category clock `clock`: the VM's running
+    /// decicycle totals per [`CycleCategory`](crate::CycleCategory),
+    /// indexed by [`CycleCategory::index`](crate::CycleCategory::index).
+    /// Their sum is the event's timestamp.
+    pub fn on_event(&mut self, clock: &[u64; 6], ev: &Event) {
+        let now = clock.iter().sum();
         let mut fault_slot = 0u32;
         match ev {
             Event::FuncEnter { func, depth } => {
-                self.spans.enter(*func, now);
+                self.spans.enter(*func, clock);
                 self.stats.call_depth_max = self.stats.call_depth_max.max(*depth as u64);
             }
             Event::FuncExit {
                 func: _,
                 frame_bytes,
             } => {
-                self.spans.exit(now);
+                self.spans.exit(clock);
                 self.stats.frame_bytes.observe(*frame_bytes);
             }
             Event::RngDraw {
@@ -293,7 +297,7 @@ impl Tracer for FlightRecorder {
                 peak_rss,
                 decicycles,
             } => {
-                self.spans.run_end(*decicycles);
+                self.spans.run_end(clock);
                 self.stats.run_decicycles.observe(*decicycles);
                 self.stats.peak_rss = self.stats.peak_rss.max(*peak_rss);
             }
@@ -302,19 +306,10 @@ impl Tracer for FlightRecorder {
         self.ring
             .push(CompactRecord::from_event(now, ev, fault_slot));
     }
-
-    fn on_cycles(&mut self, _cat: CycleCategory, _decicycles: u64) {
-        // Never called: wants_cycles() is false.
-    }
-
-    fn wants_cycles(&self) -> bool {
-        false
-    }
 }
 
 /// Clonable handle around a [`FlightRecorder`] so the caller keeps
-/// access while the VM owns the tracer box (same shape as
-/// [`SharedCollector`](crate::SharedCollector)).
+/// access while the VM (or every VM an executor spawns) feeds it.
 #[derive(Debug, Clone, Default)]
 pub struct SharedRecorder(Rc<RefCell<FlightRecorder>>);
 
@@ -328,20 +323,16 @@ impl SharedRecorder {
     pub fn with<R>(&self, f: impl FnOnce(&FlightRecorder) -> R) -> R {
         f(&self.0.borrow())
     }
-}
 
-impl Tracer for SharedRecorder {
-    fn on_functions(&mut self, names: &[String]) {
+    /// [`FlightRecorder::on_functions`] through the handle.
+    pub fn on_functions(&self, names: &[String]) {
         self.0.borrow_mut().on_functions(names);
     }
 
+    /// [`FlightRecorder::on_event`] through the handle.
     #[inline]
-    fn on_event(&mut self, now: u64, ev: &Event) {
-        self.0.borrow_mut().on_event(now, ev);
-    }
-
-    fn wants_cycles(&self) -> bool {
-        false
+    pub fn on_event(&self, clock: &[u64; 6], ev: &Event) {
+        self.0.borrow_mut().on_event(clock, ev);
     }
 }
 
@@ -349,12 +340,27 @@ impl Tracer for SharedRecorder {
 mod tests {
     use super::*;
 
+    /// A category clock with `n` decicycles of ALU work.
+    fn alu(n: u64) -> [u64; 6] {
+        [0, 0, n, 0, 0, 0]
+    }
+
     fn enter(r: &mut FlightRecorder, now: u64, func: u32, depth: u32) {
-        r.on_event(now, &Event::FuncEnter { func, depth });
+        r.on_event(&alu(now), &Event::FuncEnter { func, depth });
     }
 
     fn exit(r: &mut FlightRecorder, now: u64, func: u32, frame_bytes: u64) {
-        r.on_event(now, &Event::FuncExit { func, frame_bytes });
+        r.on_event(&alu(now), &Event::FuncExit { func, frame_bytes });
+    }
+
+    fn run_end(r: &mut FlightRecorder, now: u64, peak_rss: u64) {
+        r.on_event(
+            &alu(now),
+            &Event::RunEnd {
+                peak_rss,
+                decicycles: now,
+            },
+        );
     }
 
     #[test]
@@ -363,16 +369,16 @@ mod tests {
         r.on_functions(&["main".to_string(), "leaf".to_string()]);
         enter(&mut r, 0, 0, 1);
         r.on_event(
-            2,
+            &alu(2),
             &Event::RngDraw {
                 scheme: "AES-10",
                 cost_decicycles: 928,
             },
         );
-        r.on_event(3, &Event::PboxSelect { func: 1, index: 4 });
+        r.on_event(&alu(3), &Event::PboxSelect { func: 1, index: 4 });
         enter(&mut r, 5, 1, 2);
         r.on_event(
-            20,
+            &alu(20),
             &Event::GuardCheck {
                 func: 1,
                 kind: GuardKind::Word,
@@ -381,23 +387,21 @@ mod tests {
         );
         exit(&mut r, 21, 1, 64);
         exit(&mut r, 30, 0, 128);
-        r.on_event(
-            30,
-            &Event::RunEnd {
-                peak_rss: 4096,
-                decicycles: 30,
-            },
-        );
+        run_end(&mut r, 30, 4096);
 
         assert_eq!(r.stats().rng_draws[2], 1); // AES-10
         assert_eq!(r.stats().guard_passed, 1);
         assert_eq!(r.last_pbox(1), Some(4));
         assert_eq!(r.layout_draws(), vec![("leaf".to_string(), 4)]);
-        assert_eq!(r.span_stats()[0].calls, 1);
-        assert_eq!(r.span_stats()[0].total_decicycles, 30);
-        assert_eq!(r.span_stats()[0].self_decicycles, 14);
-        assert_eq!(r.span_stats()[1].guard_checks, 1);
-        assert_eq!(r.session().runs, 1);
+        let flat = r.flat_profile();
+        let main = flat.iter().find(|f| f.name == "main").unwrap();
+        assert_eq!(main.calls, 1);
+        assert_eq!(main.inclusive_decicycles, 30);
+        assert_eq!(main.total(), 14);
+        let leaf = flat.iter().find(|f| f.name == "leaf").unwrap();
+        assert_eq!(leaf.guard_checks, 1);
+        assert_eq!(r.collapsed_lines(), vec!["main 14", "main;leaf 16"]);
+        assert_eq!(r.runs(), 1);
 
         let m = r.to_metrics();
         assert_eq!(m.counter("rng_draws.AES-10"), 1);
@@ -409,6 +413,8 @@ mod tests {
         let events = r.events();
         assert_eq!(events.len(), 8);
         assert_eq!(events[0].seq, 0);
+        // The ring stamps each event with the clock's total.
+        assert_eq!(events[7].now, 30);
     }
 
     #[test]
@@ -417,18 +423,12 @@ mod tests {
         r.on_functions(&["main".to_string()]);
         enter(&mut r, 0, 0, 1);
         r.on_event(
-            50,
+            &alu(50),
             &Event::Fault {
                 what: "oob write 0x40".to_string(),
             },
         );
-        r.on_event(
-            50,
-            &Event::RunEnd {
-                peak_rss: 0,
-                decicycles: 50,
-            },
-        );
+        run_end(&mut r, 50, 0);
         assert_eq!(r.stats().faults, 1);
         assert_eq!(r.fault_texts(), &["oob write 0x40".to_string()]);
         let events = r.events();
@@ -437,25 +437,24 @@ mod tests {
             Event::Fault { what } if what == "oob write 0x40"
         )));
         // The faulting frame was unwound at the fault clock.
-        assert_eq!(r.span_stats()[0].total_decicycles, 50);
+        assert_eq!(r.flat_profile()[0].inclusive_decicycles, 50);
     }
 
     #[test]
-    fn shared_recorder_observable_through_a_tracer_box() {
+    fn shared_recorder_observable_through_a_clone() {
         let shared = SharedRecorder::default();
-        assert!(!Tracer::wants_cycles(&shared));
-        let mut boxed: Box<dyn Tracer> = Box::new(shared.clone());
-        boxed.on_functions(&["main".to_string()]);
-        boxed.on_event(0, &Event::FuncEnter { func: 0, depth: 1 });
-        boxed.on_event(
-            9,
+        let fed = shared.clone();
+        fed.on_functions(&["main".to_string()]);
+        fed.on_event(&alu(0), &Event::FuncEnter { func: 0, depth: 1 });
+        fed.on_event(
+            &alu(9),
             &Event::RunEnd {
                 peak_rss: 1,
                 decicycles: 9,
             },
         );
-        drop(boxed);
-        assert_eq!(shared.with(|r| r.session().runs), 1);
+        drop(fed);
+        assert_eq!(shared.with(|r| r.runs()), 1);
         assert_eq!(shared.with(|r| r.ring().total_pushed()), 2);
     }
 
@@ -465,7 +464,7 @@ mod tests {
         r.on_functions(&["f".to_string()]);
         for i in 0..100u64 {
             r.on_event(
-                i,
+                &alu(i),
                 &Event::RngDraw {
                     scheme: "pseudo",
                     cost_decicycles: 34,

@@ -1,90 +1,8 @@
-//! Pluggable event sinks: in-memory capture, a JSONL writer, and a
-//! thread-shareable line-atomic JSONL sink for concurrent producers.
+//! A thread-shareable, line-atomic JSONL sink for concurrent producers
+//! (campaign and serve journals).
 
-use crate::event::TracedEvent;
-use crate::ring::EventRing;
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
-
-/// Consumes traced events (typically drained from an [`EventRing`]).
-pub trait EventSink {
-    /// Consume one event. `names` resolves function indices.
-    fn record(&mut self, event: &TracedEvent, names: &[String]);
-}
-
-/// Keeps every event it sees (tests, custom post-processing).
-#[derive(Debug, Default, Clone)]
-pub struct MemorySink {
-    /// Captured events, in arrival order.
-    pub events: Vec<TracedEvent>,
-}
-
-impl MemorySink {
-    /// An empty sink.
-    pub fn new() -> MemorySink {
-        MemorySink::default()
-    }
-}
-
-impl EventSink for MemorySink {
-    fn record(&mut self, event: &TracedEvent, _names: &[String]) {
-        self.events.push(event.clone());
-    }
-}
-
-/// Writes one JSON object per line to any `io::Write`.
-///
-/// Write errors are sticky: the first failure is retained (see
-/// [`JsonlSink::error`]) and later events are dropped, so the sink can
-/// implement the infallible [`EventSink`] trait.
-pub struct JsonlSink<W: Write> {
-    writer: W,
-    written: u64,
-    error: Option<io::Error>,
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// Wrap a writer.
-    pub fn new(writer: W) -> JsonlSink<W> {
-        JsonlSink {
-            writer,
-            written: 0,
-            error: None,
-        }
-    }
-
-    /// Lines successfully written.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// The first write error, if any occurred.
-    pub fn error(&self) -> Option<&io::Error> {
-        self.error.as_ref()
-    }
-
-    /// Flush and return the inner writer (or the sticky error).
-    pub fn finish(mut self) -> io::Result<W> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        self.writer.flush()?;
-        Ok(self.writer)
-    }
-}
-
-impl<W: Write> EventSink for JsonlSink<W> {
-    fn record(&mut self, event: &TracedEvent, names: &[String]) {
-        if self.error.is_some() {
-            return;
-        }
-        let line = event.to_json(names);
-        match writeln!(self.writer, "{line}") {
-            Ok(()) => self.written += 1,
-            Err(e) => self.error = Some(e),
-        }
-    }
-}
 
 /// Flush threshold for the line buffer. Large enough to amortize
 /// syscalls across many journal records, small enough that a crash
@@ -181,17 +99,16 @@ impl<W: Write> Drop for LineJournal<W> {
 /// A line-atomic JSONL sink that is safe to share across worker
 /// threads.
 ///
-/// [`JsonlSink`] requires `&mut` exclusivity, which forces single-writer
-/// ownership; Monte-Carlo campaigns instead need every worker streaming
-/// records into one journal. `SharedJsonlSink` wraps a [`LineJournal`]
+/// Monte-Carlo campaigns and the multi-tenant server need every worker
+/// streaming records into one journal. `SharedJsonlSink` wraps a [`LineJournal`]
 /// in an `Arc<Mutex<_>>`: clones are cheap handles to the same journal,
 /// the lock is held per line (format outside, buffer inside), and bytes
 /// reach the underlying writer only in whole-line batches — a reader
 /// tailing the journal (or a post-crash recovery pass) never sees a
 /// torn record. Buffered lines are flushed by [`SharedJsonlSink::flush`]
 /// (checkpointing), by [`SharedJsonlSink::finish`], and automatically
-/// when the last handle drops. Write errors stay sticky, exactly as in
-/// the single-threaded sink.
+/// when the last handle drops. Write errors are sticky: the first one
+/// is retained and every later line is dropped.
 pub struct SharedJsonlSink<W: Write + Send> {
     inner: Arc<Mutex<LineJournal<W>>>,
 }
@@ -248,65 +165,61 @@ impl<W: Write + Send> SharedJsonlSink<W> {
     }
 }
 
-impl<W: Write + Send> EventSink for SharedJsonlSink<W> {
-    fn record(&mut self, event: &TracedEvent, names: &[String]) {
-        // Format outside the lock; hold it only for the buffer append.
-        let line = event.to_json(names);
-        self.write_line(&line);
-    }
-}
-
-/// Drain every retained event of `ring` into `sink`, oldest first.
-pub fn drain_ring(ring: &EventRing, names: &[String], sink: &mut dyn EventSink) {
-    for ev in ring.iter() {
-        sink.record(ev, names);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Event;
+    use crate::event::{Event, TracedEvent};
+    use crate::recorder::{FlightRecorder, RecorderConfig};
 
     fn names() -> Vec<String> {
         vec!["main".to_string()]
     }
 
+    /// Journal every event a recorder retains, one JSON line each.
+    fn journal(r: &FlightRecorder) -> String {
+        let sink = SharedJsonlSink::new(Vec::new());
+        for ev in r.events() {
+            sink.write_line(&ev.to_json(r.names()));
+        }
+        String::from_utf8(sink.finish().unwrap()).unwrap()
+    }
+
     #[test]
     fn jsonl_round_trips_through_ring() {
-        let mut ring = EventRing::new(16);
-        ring.push(
-            5,
-            Event::RngDraw {
+        let mut r = FlightRecorder::new(RecorderConfig { ring_capacity: 16 });
+        r.on_functions(&names());
+        r.on_event(
+            &[5, 0, 0, 0, 0, 0],
+            &Event::RngDraw {
                 scheme: "AES-1",
                 cost_decicycles: 192,
             },
         );
-        ring.push(9, Event::FuncEnter { func: 0, depth: 1 });
+        r.on_event(&[5, 0, 4, 0, 0, 0], &Event::FuncEnter { func: 0, depth: 1 });
 
-        let mut sink = JsonlSink::new(Vec::new());
-        drain_ring(&ring, &names(), &mut sink);
-        assert_eq!(sink.written(), 2);
-        let bytes = sink.finish().unwrap();
-        let text = String::from_utf8(bytes).unwrap();
-
+        let text = journal(&r);
         let parsed: Vec<TracedEvent> = text
             .lines()
             .map(|l| TracedEvent::from_json(l, &names()).unwrap())
             .collect();
-        let original: Vec<TracedEvent> = ring.iter().cloned().collect();
-        assert_eq!(parsed, original);
+        assert_eq!(parsed, r.events());
+        assert_eq!(parsed[1].now, 9);
     }
 
     #[test]
-    fn memory_sink_captures_in_order() {
-        let mut ring = EventRing::new(4);
+    fn wrapped_window_journals_oldest_first() {
+        let mut r = FlightRecorder::new(RecorderConfig { ring_capacity: 4 });
+        r.on_functions(&names());
         for i in 0..6 {
-            ring.push(i, Event::InputRequest { index: i, bytes: 1 });
+            r.on_event(
+                &[i, 0, 0, 0, 0, 0],
+                &Event::InputRequest { index: i, bytes: 1 },
+            );
         }
-        let mut sink = MemorySink::new();
-        drain_ring(&ring, &names(), &mut sink);
-        let seqs: Vec<u64> = sink.events.iter().map(|e| e.seq).collect();
+        let seqs: Vec<u64> = journal(&r)
+            .lines()
+            .map(|l| TracedEvent::from_json(l, &names()).unwrap().seq)
+            .collect();
         assert_eq!(seqs, vec![2, 3, 4, 5]);
     }
 
@@ -373,32 +286,24 @@ mod tests {
     }
 
     #[test]
-    fn shared_sink_is_an_event_sink() {
-        let mut ring = EventRing::new(8);
-        ring.push(1, Event::FuncEnter { func: 0, depth: 1 });
-        let sink = SharedJsonlSink::new(Vec::new());
-        let mut handle = sink.clone();
-        drain_ring(&ring, &names(), &mut handle);
-        drop(handle);
-        sink.flush().unwrap();
-        assert_eq!(sink.written(), 1);
-        let text = String::from_utf8(sink.finish().unwrap()).unwrap();
-        let parsed = TracedEvent::from_json(text.lines().next().unwrap(), &names()).unwrap();
-        assert_eq!(parsed.now, 1);
-    }
-
-    #[test]
     fn write_errors_are_sticky() {
-        let mut sink = JsonlSink::new(FailingWriter);
-        let te = TracedEvent {
-            seq: 0,
-            now: 0,
-            event: Event::FuncEnter { func: 0, depth: 1 },
-        };
-        sink.record(&te, &names());
-        sink.record(&te, &names());
-        assert_eq!(sink.written(), 0);
-        assert!(sink.error().is_some());
+        // Enough lines to force a spill: the first failed spill drops
+        // its batch, and every line after it is refused.
+        let sink = SharedJsonlSink::new(FailingWriter);
+        let line = format!("{{\"pad\":\"{}\"}}", "x".repeat(1000));
+        let mut accepted = 0;
+        while !sink.has_error() {
+            sink.write_line(&line);
+            accepted += 1;
+        }
+        assert_eq!(sink.written(), accepted);
+        sink.write_line(&line);
+        sink.write_line(&line);
+        assert_eq!(
+            sink.written(),
+            accepted,
+            "lines after the error are dropped"
+        );
         assert!(sink.finish().is_err());
     }
 

@@ -91,6 +91,20 @@ impl CycleBreakdown {
         }
     }
 
+    /// The six fields as a category clock, indexed by
+    /// [`CycleCategory::index`] (what telemetry events carry).
+    #[inline]
+    pub fn categories(&self) -> [u64; 6] {
+        [
+            self.rng,
+            self.mem,
+            self.alu,
+            self.control,
+            self.io,
+            self.bulk,
+        ]
+    }
+
     /// Value of the field for `cat`.
     pub fn get_category(&self, cat: CycleCategory) -> u64 {
         match cat {

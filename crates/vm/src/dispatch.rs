@@ -97,7 +97,7 @@ fn alloca(
     }
     vm.sp = new_sp;
     vm.mem.note_stack_pointer(new_sp);
-    if vm.tracer.is_some() {
+    if vm.recorder.is_some() {
         vm.emit(Event::Alloca {
             func: fidx,
             addr: new_sp,
@@ -504,7 +504,7 @@ fn run_thread(
                 let v = val.map(|o| ev(&scratch.regs, base, o));
                 let done = *scratch.frames.last().expect("frame");
                 vm.sp = done.entry_sp;
-                if vm.tracer.is_some() {
+                if vm.recorder.is_some() {
                     // Reaching `ret` means any epilogue integrity check
                     // (guard-key/canary call #2+) passed — failures
                     // divert to GuardFail/CanaryFail and never get here.

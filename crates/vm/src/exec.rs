@@ -11,7 +11,7 @@ use smokestack_ir::{
     RegId, Terminator, Value,
 };
 use smokestack_srng::{build_source, RandomSource, SchemeKind, SeededTrng, XorShift64};
-use smokestack_telemetry::{CycleCategory, Event, FunctionCycles, GuardKind, Tracer};
+use smokestack_telemetry::{CycleCategory, Event, GuardKind, SharedRecorder};
 
 use crate::bytecode::{classify_slabs, layout_globals, CompiledModule, ExecBackend, GlobalLayout};
 use crate::cycles::{CostModel, CycleBreakdown};
@@ -167,10 +167,6 @@ pub struct RunOutcome {
     pub breakdown: CycleBreakdown,
     /// Recorded allocations, if enabled.
     pub alloca_trace: Vec<AllocaRecord>,
-    /// Per-function cycle attribution, hottest first (empty unless a
-    /// profiling [`Tracer`] was configured). Totals sum to
-    /// [`RunOutcome::decicycles`].
-    pub per_function: Vec<FunctionCycles>,
     /// FNV digest over every scheduling decision of the run: 0 when the
     /// program never used the scheduler, otherwise a replayable
     /// fingerprint of the interleaving (same `sched_seed` ⇒ same
@@ -208,11 +204,11 @@ pub struct VmConfig {
     pub cost: CostModel,
     /// Record every stack allocation (address/size/name).
     pub record_allocas: bool,
-    /// Telemetry hook ([`smokestack_telemetry::Collector`] or custom).
-    /// `None` (the default) disables tracing entirely; every emit site
-    /// in the VM is guarded by an is-some check so the disabled path
-    /// costs nothing measurable.
-    pub tracer: Option<Box<dyn Tracer>>,
+    /// Flight recorder fed with every telemetry event. `None` (the
+    /// default) disables tracing entirely; every emit site in the VM is
+    /// guarded by an is-some check so the disabled path costs nothing
+    /// measurable.
+    pub recorder: Option<SharedRecorder>,
     /// Execution engine. [`ExecBackend::Bytecode`] (the default) lowers
     /// the module to flat bytecode once and replays it; the tree-walking
     /// [`ExecBackend::Interp`] is retained as the semantic reference.
@@ -239,7 +235,7 @@ impl Default for VmConfig {
             mem: MemConfig::default(),
             cost: CostModel::default(),
             record_allocas: false,
-            tracer: None,
+            recorder: None,
             backend: ExecBackend::default(),
             sched_seed: 0,
             detect_races: false,
@@ -329,12 +325,7 @@ pub struct Vm {
     /// the data image without touching the module or the compiled cache.
     pub(crate) globals: Arc<GlobalLayout>,
     pub(crate) slab_funcs: Vec<crate::cycles::SlabClass>,
-    pub(crate) tracer: Option<Box<dyn Tracer>>,
-    /// Cached [`Tracer::wants_cycles`] answer, sampled once at
-    /// construction: when false (no tracer, or a tracer like the
-    /// flight recorder that aggregates from events alone), `charge()`
-    /// skips the per-instruction dynamic dispatch entirely.
-    pub(crate) tracer_wants_cycles: bool,
+    pub(crate) recorder: Option<SharedRecorder>,
     /// Per function: the `stack_rng` result register and P-BOX mask of
     /// the hardened slab prologue, recovered by prescan (None if the
     /// function is uninstrumented).
@@ -431,12 +422,10 @@ impl Vm {
             None => module.funcs.iter().map(find_pbox_draw).collect(),
         };
 
-        let mut tracer = cfg.tracer;
-        if let Some(t) = tracer.as_deref_mut() {
+        if let Some(r) = &cfg.recorder {
             let names: Vec<String> = module.funcs.iter().map(|f| f.name.clone()).collect();
-            t.on_functions(&names);
+            r.on_functions(&names);
         }
-        let tracer_wants_cycles = tracer.as_deref().is_some_and(|t| t.wants_cycles());
 
         Vm {
             module,
@@ -451,8 +440,7 @@ impl Vm {
             record_allocas: cfg.record_allocas,
             globals: gl,
             slab_funcs,
-            tracer,
-            tracer_wants_cycles,
+            recorder: cfg.recorder,
             pbox_draws,
             backend: cfg.backend,
             compiled,
@@ -551,26 +539,19 @@ impl Vm {
     }
 
     /// Charge `c` cost units in category `cat` (single choke point for
-    /// all cycle accounting, so tracer attribution is exact).
+    /// all cycle accounting, so the category clock is exact).
     #[inline]
     pub(crate) fn charge(&mut self, cat: CycleCategory, c: u64) {
         self.decicycles += c;
         self.breakdown.add_category(cat, c);
-        // Gated on the cached bool, not on `tracer.is_some()`: tracers
-        // that aggregate from events alone (the flight recorder) keep
-        // this per-instruction path free of dynamic dispatch.
-        if self.tracer_wants_cycles {
-            if let Some(t) = self.tracer.as_deref_mut() {
-                t.on_cycles(cat, c);
-            }
-        }
     }
 
-    /// Emit a telemetry event (no-op without a tracer).
+    /// Emit a telemetry event stamped with the category clock (no-op
+    /// without a recorder).
     #[inline]
     pub(crate) fn emit(&mut self, ev: Event) {
-        if let Some(t) = self.tracer.as_deref_mut() {
-            t.on_event(self.decicycles, &ev);
+        if let Some(r) = &self.recorder {
+            r.on_event(&self.breakdown.categories(), &ev);
         }
     }
 
@@ -675,7 +656,7 @@ impl Vm {
                 self.exec_loop(&mut frames, input)
             }
         };
-        if self.tracer.is_some() {
+        if self.recorder.is_some() {
             if let Exit::Fault(f) = &exit {
                 let what = f.to_string();
                 self.emit(Event::Fault { what });
@@ -685,11 +666,6 @@ impl Vm {
                 decicycles: self.decicycles,
             });
         }
-        let per_function = self
-            .tracer
-            .as_deref()
-            .and_then(|t| t.flat_profile())
-            .unwrap_or_default();
         RunOutcome {
             exit,
             decicycles: self.decicycles,
@@ -700,7 +676,6 @@ impl Vm {
             rng_invocations: self.rng_invocations,
             breakdown: self.breakdown,
             alloca_trace: std::mem::take(&mut self.alloca_trace),
-            per_function,
             sched_digest: self.sched_digest(),
         }
     }
@@ -818,7 +793,7 @@ impl Vm {
                         let done = frames.last().expect("frame");
                         self.sp = done.entry_sp;
                         let ret_reg = done.ret_reg;
-                        if self.tracer.is_some() {
+                        if self.recorder.is_some() {
                             let func = done.func.0;
                             let frame_bytes = done.entry_sp - done.low_sp;
                             // Reaching `ret` means any epilogue integrity
@@ -945,7 +920,7 @@ impl Vm {
                 }
                 self.sp = new_sp;
                 self.mem.note_stack_pointer(new_sp);
-                if self.tracer.is_some() {
+                if self.recorder.is_some() {
                     self.emit(Event::Alloca {
                         func: fr.func.0,
                         addr: new_sp,
@@ -1376,7 +1351,7 @@ impl Vm {
                         _ => self.rng.next_u64(),
                     }
                 };
-                if self.tracer.is_some() {
+                if self.recorder.is_some() {
                     self.emit(Event::RngDraw {
                         scheme: self.scheme.label(),
                         cost_decicycles: c,
@@ -1404,7 +1379,7 @@ impl Vm {
             }
             Intrinsic::GuardFail => {
                 let func = self.module.funcs[cur_func.0 as usize].name.clone();
-                if self.tracer.is_some() {
+                if self.recorder.is_some() {
                     self.emit(Event::GuardCheck {
                         func: cur_func.0,
                         kind: GuardKind::Word,
@@ -1415,7 +1390,7 @@ impl Vm {
             }
             Intrinsic::CanaryFail => {
                 let func = self.module.funcs[cur_func.0 as usize].name.clone();
-                if self.tracer.is_some() {
+                if self.recorder.is_some() {
                     self.emit(Event::GuardCheck {
                         func: cur_func.0,
                         kind: GuardKind::Canary,

@@ -2,7 +2,7 @@
 //!
 //! An `Executor` owns everything that is *per-build* rather than
 //! *per-run*: the module, the hardening scheme, the cost model, the
-//! telemetry collector, and — crucially — the compiled bytecode image,
+//! flight recorder, and — crucially — the compiled bytecode image,
 //! resolved once through the process-wide cache and shared by every VM
 //! the session spawns. Campaign trials, fuzz variants, and benchmark
 //! repetitions construct one `Executor` per build and then spawn
@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use smokestack_ir::Module;
 use smokestack_srng::SchemeKind;
-use smokestack_telemetry::{SharedCollector, SharedRecorder, Tracer};
+use smokestack_telemetry::SharedRecorder;
 
 use crate::bytecode::{compiled_for, CompiledModule, ExecBackend};
 use crate::cycles::CostModel;
@@ -55,7 +55,6 @@ pub struct Executor {
     backend: ExecBackend,
     sched_seed: u64,
     detect_races: bool,
-    tracer: Option<SharedCollector>,
     recorder: Option<SharedRecorder>,
     /// Lazily-resolved compiled image (interior so `&self` spawning
     /// works; `OnceCell` because a session never changes module/cost).
@@ -131,16 +130,7 @@ impl ExecutorBuilder {
         self
     }
 
-    /// Telemetry collector, cloned into every spawned VM.
-    pub fn tracer(mut self, tracer: SharedCollector) -> Self {
-        self.inner.tracer = Some(tracer);
-        self
-    }
-
-    /// Flight recorder, cloned into every spawned VM. Cheaper than a
-    /// collector (no per-instruction hook); if both are set, the
-    /// collector wins — it is a strict superset of the recorder's
-    /// event feed.
+    /// Flight recorder, cloned into every spawned VM.
     pub fn recorder(mut self, recorder: SharedRecorder) -> Self {
         self.inner.recorder = Some(recorder);
         self
@@ -170,7 +160,6 @@ impl Executor {
                 backend: ExecBackend::default(),
                 sched_seed: 0,
                 detect_races: false,
-                tracer: None,
                 recorder: None,
                 compiled: OnceCell::new(),
             },
@@ -192,11 +181,6 @@ impl Executor {
         self.backend
     }
 
-    /// The session's telemetry collector, if any.
-    pub fn tracer(&self) -> Option<&SharedCollector> {
-        self.tracer.as_ref()
-    }
-
     /// The session's flight recorder, if any.
     pub fn recorder(&self) -> Option<&SharedRecorder> {
         self.recorder.as_ref()
@@ -207,13 +191,6 @@ impl Executor {
     /// run without re-compiling the build).
     pub fn with_record_allocas(mut self, record: bool) -> Executor {
         self.record_allocas = record;
-        self
-    }
-
-    /// Fork the session with a telemetry collector attached; the
-    /// compiled image carries over.
-    pub fn with_tracer(mut self, tracer: SharedCollector) -> Executor {
-        self.tracer = Some(tracer);
         self
     }
 
@@ -267,13 +244,7 @@ impl Executor {
             mem: self.mem,
             cost: self.cost,
             record_allocas: self.record_allocas,
-            tracer: match (&self.tracer, &self.recorder) {
-                // The collector is a strict superset of the recorder's
-                // event feed, so it wins when both are attached.
-                (Some(t), _) => Some(Box::new(t.clone()) as Box<dyn Tracer>),
-                (None, Some(r)) => Some(Box::new(r.clone()) as Box<dyn Tracer>),
-                (None, None) => None,
-            },
+            recorder: self.recorder.clone(),
             backend: self.backend,
             sched_seed: self.sched_seed,
             detect_races: self.detect_races,

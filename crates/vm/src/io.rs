@@ -34,7 +34,7 @@ impl OutputEvent {
 /// file remain out of reach.
 ///
 /// Every call into the source is also reported to an attached
-/// [`Tracer`](crate::Tracer) as an `InputRequest` event (request index
+/// [`SharedRecorder`](crate::SharedRecorder) as an `InputRequest` event (request index
 /// plus bytes delivered), so telemetry captures the full adversary
 /// interaction trail alongside guard checks and RNG draws.
 pub trait InputSource {

@@ -76,7 +76,7 @@ pub use sched::{MAX_THREADS, THREAD_SLAB};
 // Telemetry surface, re-exported so VM users configure tracing without
 // naming the telemetry crate directly.
 pub use smokestack_telemetry::{
-    render_prometheus, Collector, CollectorConfig, CycleCategory, Event, FaultAccess,
-    FlightRecorder, FrameSlot, FunctionCycles, GuardKind, IncidentReport, RecorderConfig,
-    RecorderStats, SharedCollector, SharedRecorder, StreamingHistogram, Tracer, INCIDENT_SCHEMA,
+    render_prometheus, CycleCategory, Event, FaultAccess, FlightRecorder, FrameSlot,
+    FunctionCycles, GuardKind, IncidentReport, RecorderConfig, RecorderStats, SharedRecorder,
+    StreamingHistogram, INCIDENT_SCHEMA,
 };

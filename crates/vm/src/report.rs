@@ -199,7 +199,6 @@ mod tests {
             rng_invocations: 0,
             breakdown: Default::default(),
             alloca_trace: vec![],
-            per_function: vec![],
             sched_digest: 0,
         }
     }

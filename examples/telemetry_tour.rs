@@ -1,15 +1,13 @@
-//! Telemetry tour: attach the collector to a hardened run and inspect
-//! all three observability surfaces — the structured event trace, the
-//! metrics registry, and the per-function profiler.
+//! Telemetry tour: attach the flight recorder to a hardened run and
+//! inspect all three observability surfaces — the structured event
+//! trace, the metrics registry, and the per-function profile.
 //!
 //! ```sh
 //! cargo run --example telemetry_tour
 //! ```
 
 use smokestack_repro::harden_source;
-use smokestack_repro::vm::{
-    CollectorConfig, CycleCategory, Executor, ScriptedInput, SharedCollector,
-};
+use smokestack_repro::vm::{CycleCategory, Executor, ScriptedInput, SharedRecorder};
 
 const SRC: &str = r#"
     int hash_block(int seed) {
@@ -37,44 +35,46 @@ const SRC: &str = r#"
 fn main() {
     let (module, _report) = harden_source(SRC).expect("compiles");
 
-    // The SharedCollector is cloned into the VM's tracer slot; the
-    // handle we keep reads the same underlying collector afterwards.
-    let shared = SharedCollector::new(CollectorConfig::default());
-    let exec = Executor::for_module(module).tracer(shared.clone()).build();
+    // The SharedRecorder is cloned into every VM the executor spawns;
+    // the handle we keep reads the same underlying recorder afterwards.
+    let shared = SharedRecorder::default();
+    let exec = Executor::for_module(module)
+        .recorder(shared.clone())
+        .build();
     let out = exec.run_main(ScriptedInput::empty());
     println!("exit: {:?} after {} decicycles\n", out.exit, out.decicycles);
 
     // Surface 1: the structured event trace (last few events).
     println!("== event trace (tail) ==");
-    shared.with(|c| {
-        let skip = c.ring().len().saturating_sub(5);
-        for ev in c.ring().iter().skip(skip) {
-            println!("{}", ev.to_json(c.names()));
+    shared.with(|r| {
+        let events = r.events();
+        for ev in &events[events.len().saturating_sub(5)..] {
+            println!("{}", ev.to_json(r.names()));
         }
     });
 
     // Surface 2: the metrics registry, including the per-function
     // P-BOX index frequency table that certifies per-call re-layout.
     println!("\n== metrics ==");
-    shared.with(|c| {
-        println!("rng draws: {}", c.metrics().counter("rng_draws.AES-10"));
+    let metrics = shared.with(|r| r.to_metrics());
+    println!("rng draws: {}", metrics.counter("rng_draws.AES-10"));
+    println!(
+        "guard checks passed: {}",
+        metrics.counter("guard_checks.passed")
+    );
+    if let Some(t) = metrics.freq_table("pbox_index.hash_block") {
         println!(
-            "guard checks passed: {}",
-            c.metrics().counter("guard_checks.passed")
+            "hash_block P-BOX rows over {} calls: {:?} (chi² {:.1})",
+            t.total(),
+            t.counts(),
+            t.chi_squared()
         );
-        if let Some(t) = c.metrics().freq_table("pbox_index.hash_block") {
-            println!(
-                "hash_block P-BOX rows over {} calls: {:?} (chi² {:.1})",
-                t.total(),
-                t.counts(),
-                t.chi_squared()
-            );
-        }
-    });
+    }
 
-    // Surface 3: the per-function profiler.
+    // Surface 3: the per-function profile, attributed at span
+    // boundaries from the category clock each event carries.
     println!("\n== flat profile ==");
-    for f in &out.per_function {
+    for f in shared.with(|r| r.flat_profile()) {
         println!(
             "{:<12} {:>4} calls {:>9} decicycles ({:.1}% rng)",
             f.name,
@@ -84,7 +84,7 @@ fn main() {
         );
     }
     println!("\n== collapsed stacks ==");
-    for line in shared.with(|c| c.collapsed_lines()) {
+    for line in shared.with(|r| r.collapsed_lines()) {
         println!("{line}");
     }
 }

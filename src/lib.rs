@@ -21,7 +21,7 @@
 //! | [`defenses`] | prior stack-randomization schemes |
 //! | [`attacks`] | DOP attack framework + CVE case studies |
 //! | [`workloads`] | SPEC-2006-style benchmark corpus |
-//! | [`telemetry`] | structured event tracing, metrics, per-function profiler |
+//! | [`telemetry`] | flight recorder: event trace, metrics, per-function spans |
 //!
 //! # Examples
 //!

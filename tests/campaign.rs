@@ -256,3 +256,44 @@ fn interval_checked_matrix_over_real_trials() {
     let violations = check(&stats, &bounds);
     assert!(violations.is_empty(), "{violations:?}");
 }
+
+#[test]
+fn uniformity_and_stats_share_one_recorder() {
+    // Both instruments on at once: the layout-uniformity tables and
+    // the per-defense latency streams come from the same recorder, so
+    // neither flag silences the other.
+    let result = run_campaign(
+        &CampaignPlan::smoke(),
+        &EngineConfig {
+            jobs: 2,
+            trace_uniformity: true,
+            collect_stats: true,
+            ..EngineConfig::default()
+        },
+        &HashSet::new(),
+        None,
+    )
+    .unwrap();
+    let m = &result.metrics;
+    let tables: Vec<&str> = m
+        .freq_tables()
+        .map(|(name, _)| name)
+        .filter(|name| name.starts_with("pbox_index."))
+        .collect();
+    assert!(!tables.is_empty(), "no pbox_index.* tables");
+    assert!(
+        m.freq_tables().all(|(_, t)| t.total() > 0),
+        "empty uniformity table"
+    );
+    let streams: Vec<&str> = m
+        .streams()
+        .map(|(name, _)| name)
+        .filter(|name| name.starts_with("trial_decicycles."))
+        .collect();
+    assert!(!streams.is_empty(), "no trial_decicycles.* streams");
+    let runs: u64 = streams.iter().map(|s| m.stream(s).unwrap().count()).sum();
+    assert!(
+        runs >= CampaignPlan::smoke().total_trials(),
+        "{runs} runs streamed"
+    );
+}

@@ -1,14 +1,18 @@
-//! End-to-end telemetry: the tracer observes real hardened runs, the
-//! JSONL trace round-trips, the per-function attribution sums exactly
-//! to the VM's cycle count, and the P-BOX index selection the tracer
-//! records is statistically uniform — the paper's core randomization
-//! claim, checked from the observability side.
+//! End-to-end telemetry: the flight recorder observes real hardened
+//! runs, its event window round-trips through JSONL, the per-function
+//! attribution reproduces the VM's cycle breakdown category by
+//! category, and the P-BOX index selection it records is statistically
+//! uniform — the paper's core randomization claim, checked from the
+//! observability side.
 
 use smokestack_repro::core::{harden, SmokestackConfig};
+use smokestack_repro::ir::Module;
 use smokestack_repro::minic::compile;
 use smokestack_repro::srng::SchemeKind;
-use smokestack_repro::telemetry::{chi_squared_uniform, JsonlSink, TracedEvent};
-use smokestack_repro::vm::{CollectorConfig, Executor, Exit, ScriptedInput, SharedCollector};
+use smokestack_repro::telemetry::{chi_squared_uniform, TracedEvent};
+use smokestack_repro::vm::{
+    CycleCategory, Executor, Exit, RecorderConfig, RunOutcome, ScriptedInput, SharedRecorder,
+};
 
 /// A multi-alloca leaf driven ≥1k times from a loop in main, so the
 /// P-BOX row choice is sampled over a thousand fresh entropy draws.
@@ -33,21 +37,19 @@ const MULTI_ALLOCA_LOOP: &str = r#"
     }
 "#;
 
-fn traced_run(
-    src: &str,
-    scheme: SchemeKind,
-    seed: u64,
-) -> (smokestack_repro::vm::RunOutcome, SharedCollector) {
-    let mut m = compile(src).expect("compiles");
+fn traced_run(src: &str, scheme: SchemeKind, seed: u64) -> (RunOutcome, SharedRecorder) {
+    traced_module(compile(src).expect("compiles"), scheme, seed)
+}
+
+fn traced_module(mut m: Module, scheme: SchemeKind, seed: u64) -> (RunOutcome, SharedRecorder) {
     harden(&mut m, &SmokestackConfig::default()).unwrap();
-    let shared = SharedCollector::new(CollectorConfig {
+    let shared = SharedRecorder::new(RecorderConfig {
         ring_capacity: 1 << 16,
-        ..CollectorConfig::default()
     });
     let out = Executor::for_module(m)
         .scheme(scheme)
         .trng_seed(seed)
-        .tracer(shared.clone())
+        .recorder(shared.clone())
         .build()
         .run_main(ScriptedInput::empty());
     (out, shared)
@@ -61,9 +63,9 @@ fn traced_run(
 fn pbox_index_selection_is_uniform() {
     let (out, shared) = traced_run(MULTI_ALLOCA_LOOP, SchemeKind::Aes10, 11);
     assert!(matches!(out.exit, Exit::Return(_)), "{:?}", out.exit);
-    shared.with(|c| {
-        let table = c
-            .metrics()
+    let metrics = shared.with(|r| r.to_metrics());
+    {
+        let table = metrics
             .freq_table("pbox_index.leaf")
             .expect("leaf P-BOX index table recorded");
         assert!(table.total() >= 1000, "only {} draws traced", table.total());
@@ -84,48 +86,82 @@ fn pbox_index_selection_is_uniform() {
             chi < 3.0 * bins as f64 + 10.0,
             "chi-squared {chi:.1} over {bins} bins suggests biased row selection"
         );
-    });
+    }
 }
 
-/// The same run's trace round-trips through JSONL byte-for-byte at the
-/// event level, and the metrics registry counts every draw the VM made.
+/// The same run's event window round-trips through JSONL at the event
+/// level, and the recorder counts every draw the VM made.
 #[test]
 fn live_trace_round_trips_and_counts_draws() {
     let (out, shared) = traced_run(MULTI_ALLOCA_LOOP, SchemeKind::Aes1, 5);
-    shared.with(|c| {
-        let mut sink = JsonlSink::new(Vec::new());
-        c.drain_to(&mut sink);
-        assert_eq!(sink.written() as usize, c.ring().len());
-        let text = String::from_utf8(sink.finish().unwrap()).unwrap();
+    shared.with(|r| {
+        assert_eq!(r.ring().dropped(), 0, "window too small for the run");
+        let events = r.events();
+        assert_eq!(events.len(), r.ring().len());
+        let text: String = events.iter().map(|e| e.to_json(r.names()) + "\n").collect();
         let parsed: Vec<TracedEvent> = text
             .lines()
-            .map(|l| TracedEvent::from_json(l, c.names()).expect("line parses"))
+            .map(|l| TracedEvent::from_json(l, r.names()).expect("line parses"))
             .collect();
-        let original: Vec<TracedEvent> = c.ring().iter().cloned().collect();
-        assert_eq!(parsed, original);
+        assert_eq!(parsed, events);
         // One rng_draw counter tick per VM-reported invocation.
-        assert_eq!(c.metrics().counter("rng_draws.AES-1"), out.rng_invocations);
+        assert_eq!(
+            r.to_metrics().counter("rng_draws.AES-1"),
+            out.rng_invocations
+        );
     });
 }
 
-/// Per-function attribution is lossless: flat totals and collapsed
-/// stacks both sum to the run's decicycles, and the guard checks the
-/// instrumentation inserted all passed.
+/// Per-function attribution is lossless: the flat profile reproduces
+/// the VM's own cycle breakdown category by category, the collapsed
+/// stacks sum to the run's decicycles, and every guard check the
+/// instrumentation inserted passed. Checked on a single-threaded loop
+/// and on a threaded workload (swaptions), whose workers' frames
+/// interleave on the recorder's one span stack.
 #[test]
 fn attribution_and_guards_consistent() {
-    let (out, shared) = traced_run(MULTI_ALLOCA_LOOP, SchemeKind::Pseudo, 3);
-    let flat_sum: u64 = out.per_function.iter().map(|f| f.total()).sum();
-    assert_eq!(flat_sum, out.decicycles);
-    shared.with(|c| {
-        let collapsed_sum: u64 = c
-            .collapsed_lines()
-            .iter()
-            .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
-            .sum();
-        assert_eq!(collapsed_sum, out.decicycles);
-        assert!(c.metrics().counter("guard_checks.passed") >= 1200);
-        assert_eq!(c.metrics().counter("guard_checks.failed"), 0);
-    });
+    let swaptions = smokestack_repro::workloads::by_name("swaptions")
+        .unwrap()
+        .compile()
+        .expect("corpus compiles");
+    for (name, (out, shared), min_guards) in [
+        (
+            "multi-alloca loop",
+            traced_run(MULTI_ALLOCA_LOOP, SchemeKind::Pseudo, 3),
+            1200,
+        ),
+        (
+            "swaptions",
+            traced_module(swaptions, SchemeKind::Aes10, 7),
+            1,
+        ),
+    ] {
+        assert!(out.exit.is_clean(), "{name}: {:?}", out.exit);
+        shared.with(|r| {
+            let flat = r.flat_profile();
+            for cat in CycleCategory::ALL {
+                let attributed: u64 = flat.iter().map(|f| f.get(cat)).sum();
+                assert_eq!(
+                    attributed,
+                    out.breakdown.get_category(cat),
+                    "{name}: {cat:?} attribution"
+                );
+            }
+            let collapsed_sum: u64 = r
+                .collapsed_lines()
+                .iter()
+                .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
+                .sum();
+            assert_eq!(collapsed_sum, out.decicycles, "{name}: collapsed stacks");
+            let m = r.to_metrics();
+            assert!(
+                m.counter("guard_checks.passed") >= min_guards,
+                "{name}: {} guard checks",
+                m.counter("guard_checks.passed")
+            );
+            assert_eq!(m.counter("guard_checks.failed"), 0, "{name}");
+        });
+    }
 }
 
 /// `chi_squared_uniform` itself flags a frozen layout: if the same row
