@@ -7,6 +7,7 @@
 //! in `smokestack-attacks` (and their defeat by Smokestack) meaningful.
 
 use std::fmt;
+use std::ops::Range;
 
 /// Address-space map. Segments are widely separated so that overflows
 /// within a segment behave natively while wild pointers fault.
@@ -29,32 +30,50 @@ pub mod layout {
     pub const STACK_START_GAP: u64 = 4096;
 }
 
-/// A contiguous memory region.
-#[derive(Debug, Clone)]
+/// Floor on the size of a [`Memory`]'s one allocation: glibc's
+/// `DEFAULT_MMAP_THRESHOLD_MAX` on 64-bit. Each time glibc frees a
+/// mapped block it raises its mmap threshold to that block's size (up
+/// to this cap), so a smaller request can be carved out of reused heap
+/// memory that `calloc` must zero in full. A request at least this
+/// large always gets a fresh anonymous mapping, which `calloc` hands
+/// back without a memset and whose pages the kernel faults in zeroed
+/// only when first touched. A fresh VM therefore costs the pages its
+/// run touches, not the 14–80 MiB it maps.
+const MIN_ALLOC_BYTES: usize = 32 << 20;
+
+/// A contiguous memory region: a named window onto its [`Memory`]'s
+/// shared byte buffer.
+#[derive(Debug)]
 pub struct Segment {
     name: &'static str,
     base: u64,
-    bytes: Vec<u8>,
+    /// Offset of the segment's first byte in the shared buffer.
+    off: usize,
+    len: usize,
     writable: bool,
-    /// Dirty-range watermarks (byte offsets into `bytes`): every write
-    /// widens `dirty_lo..dirty_hi`, and [`Segment::wipe`] zeroes only
-    /// that span. `dirty_lo > dirty_hi` means the segment is clean, so
-    /// resetting an untouched multi-megabyte segment costs nothing.
-    /// [`Memory::reset`] wipes only the writable segments (rodata keeps
-    /// its loader image), which is what makes a resident serve
-    /// session's per-request respawn proportional to the bytes a
+    /// Dirty-range watermarks (offsets into the shared buffer): every
+    /// write widens `dirty_lo..dirty_hi`, and [`Segment::wipe`] zeroes
+    /// only that span. `dirty_lo > dirty_hi` means the segment is
+    /// clean, so resetting an untouched multi-megabyte segment costs
+    /// nothing. [`Memory::reset`] wipes only the writable segments
+    /// (rodata keeps its loader image), which is what makes a resident
+    /// serve session's per-request respawn proportional to the bytes a
     /// request can dirty, not the bytes mapped or the P-BOX's size.
     dirty_lo: usize,
     dirty_hi: usize,
 }
 
 impl Segment {
-    /// Create a zero-filled segment.
-    pub fn new(name: &'static str, base: u64, size: usize, writable: bool) -> Segment {
+    /// Describe a clean `size`-byte segment at guest address `base`,
+    /// held at byte `off` of its memory's shared buffer. Allocates
+    /// nothing: [`Memory::new`] maps one zeroed buffer for all four
+    /// segments.
+    pub fn new(name: &'static str, base: u64, off: usize, size: usize, writable: bool) -> Segment {
         Segment {
             name,
             base,
-            bytes: vec![0; size],
+            off,
+            len: size,
             writable,
             dirty_lo: usize::MAX,
             dirty_hi: 0,
@@ -68,7 +87,7 @@ impl Segment {
 
     /// One past the highest valid address.
     pub fn end(&self) -> u64 {
-        self.base + self.bytes.len() as u64
+        self.base + self.len as u64
     }
 
     /// Whether `addr..addr+len` lies inside this segment.
@@ -76,24 +95,32 @@ impl Segment {
         addr >= self.base && addr.checked_add(len).is_some_and(|e| e <= self.end())
     }
 
-    fn slice(&self, addr: u64, len: u64) -> &[u8] {
-        let off = (addr - self.base) as usize;
-        &self.bytes[off..off + len as usize]
+    /// One past the segment's last byte in the shared buffer.
+    fn buf_end(&self) -> usize {
+        self.off + self.len
     }
 
-    fn slice_mut(&mut self, addr: u64, len: u64) -> &mut [u8] {
-        let off = (addr - self.base) as usize;
-        let end = off + len as usize;
-        self.dirty_lo = self.dirty_lo.min(off);
-        self.dirty_hi = self.dirty_hi.max(end);
-        &mut self.bytes[off..end]
+    /// Buffer range holding `addr..addr+len` (which the caller has
+    /// checked with [`Segment::contains`]).
+    fn range(&self, addr: u64, len: u64) -> Range<usize> {
+        let start = self.off + (addr - self.base) as usize;
+        start..start + len as usize
     }
 
-    /// Zero every byte written since construction (or the last wipe).
-    /// Cost is proportional to the dirty span, not the segment size.
-    fn wipe(&mut self) {
+    /// [`Segment::range`] for a write: marks the range dirty.
+    fn range_mut(&mut self, addr: u64, len: u64) -> Range<usize> {
+        let r = self.range(addr, len);
+        self.dirty_lo = self.dirty_lo.min(r.start);
+        self.dirty_hi = self.dirty_hi.max(r.end);
+        r
+    }
+
+    /// Zero every byte of `buf` written through this segment since
+    /// construction (or the last wipe). Cost is proportional to the
+    /// dirty span, not the segment size.
+    fn wipe(&mut self, buf: &mut [u8]) {
         if self.dirty_lo < self.dirty_hi {
-            self.bytes[self.dirty_lo..self.dirty_hi].fill(0);
+            buf[self.dirty_lo..self.dirty_hi].fill(0);
         }
         self.dirty_lo = usize::MAX;
         self.dirty_hi = 0;
@@ -176,8 +203,12 @@ impl fmt::Display for MemFault {
 impl std::error::Error for MemFault {}
 
 /// The whole simulated address space.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Memory {
+    /// One zeroed allocation of at least [`MIN_ALLOC_BYTES`] holding
+    /// rodata, data, heap and stack back to back; the segments are
+    /// offset ranges into it.
+    bytes: Box<[u8]>,
     rodata: Segment,
     data: Segment,
     heap: Segment,
@@ -217,18 +248,33 @@ impl Default for MemConfig {
 }
 
 impl Memory {
-    /// Allocate the address space.
+    /// Allocate the address space: one zeroed buffer for all four
+    /// segments, padded to [`MIN_ALLOC_BYTES`] so that it is always
+    /// freshly mapped and its untouched pages cost nothing.
     pub fn new(cfg: MemConfig) -> Memory {
+        let rodata = Segment::new("rodata", layout::RODATA_BASE, 0, cfg.rodata_size, false);
+        let data = Segment::new(
+            "data",
+            layout::DATA_BASE,
+            rodata.buf_end(),
+            cfg.data_size,
+            true,
+        );
+        let heap = Segment::new(
+            "heap",
+            layout::HEAP_BASE,
+            data.buf_end(),
+            cfg.heap_size,
+            true,
+        );
+        let stack_base = layout::STACK_TOP - cfg.stack_size as u64;
+        let stack = Segment::new("stack", stack_base, heap.buf_end(), cfg.stack_size, true);
         Memory {
-            rodata: Segment::new("rodata", layout::RODATA_BASE, cfg.rodata_size, false),
-            data: Segment::new("data", layout::DATA_BASE, cfg.data_size, true),
-            heap: Segment::new("heap", layout::HEAP_BASE, cfg.heap_size, true),
-            stack: Segment::new(
-                "stack",
-                layout::STACK_TOP - cfg.stack_size as u64,
-                cfg.stack_size,
-                true,
-            ),
+            bytes: vec![0; stack.buf_end().max(MIN_ALLOC_BYTES)].into_boxed_slice(),
+            rodata,
+            data,
+            heap,
+            stack,
             stack_low_water: layout::STACK_TOP,
             heap_high_water: 0,
             rodata_used: 0,
@@ -312,7 +358,7 @@ impl Memory {
     /// Faults if the range is not fully inside one segment.
     pub fn read(&self, addr: u64, len: u64) -> Result<&[u8], MemFault> {
         match self.segment_for(addr, len) {
-            Some(s) => Ok(s.slice(addr, len)),
+            Some(s) => Ok(&self.bytes[s.range(addr, len)]),
             None => Err(self.fault(addr, len, false)),
         }
     }
@@ -328,17 +374,13 @@ impl Memory {
         if self.stack.contains(addr, len) {
             self.stack_low_water = self.stack_low_water.min(addr);
         }
-        let hit = match self.segment_for_mut(addr, len) {
+        match self.segment_for_mut(addr, len) {
             Some(s) if s.writable => {
-                s.slice_mut(addr, len).copy_from_slice(bytes);
-                true
+                let r = s.range_mut(addr, len);
+                self.bytes[r].copy_from_slice(bytes);
+                Ok(())
             }
-            _ => false,
-        };
-        if hit {
-            Ok(())
-        } else {
-            Err(self.fault(addr, len, true))
+            _ => Err(self.fault(addr, len, true)),
         }
     }
 
@@ -355,17 +397,13 @@ impl Memory {
     /// Faults if the range is outside all segments.
     pub(crate) fn write_init(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemFault> {
         let len = bytes.len() as u64;
-        let hit = match self.segment_for_mut(addr, len) {
+        match self.segment_for_mut(addr, len) {
             Some(s) => {
-                s.slice_mut(addr, len).copy_from_slice(bytes);
-                true
+                let r = s.range_mut(addr, len);
+                self.bytes[r].copy_from_slice(bytes);
+                Ok(())
             }
-            None => false,
-        };
-        if hit {
-            Ok(())
-        } else {
-            Err(self.fault(addr, len, true))
+            None => Err(self.fault(addr, len, true)),
         }
     }
 
@@ -456,7 +494,7 @@ impl Memory {
 
     /// Capacity of the heap segment in bytes.
     pub fn heap_capacity(&self) -> u64 {
-        self.heap.bytes.len() as u64
+        self.heap.len as u64
     }
 
     /// Return data, heap and stack to their freshly-allocated state:
@@ -469,9 +507,9 @@ impl Memory {
     /// tenant that touched 40 KB of an 8 MB stack pays for 40 KB, and
     /// never for its read-only P-BOX.
     pub fn reset(&mut self) {
-        self.data.wipe();
-        self.heap.wipe();
-        self.stack.wipe();
+        self.data.wipe(&mut self.bytes);
+        self.heap.wipe(&mut self.bytes);
+        self.stack.wipe(&mut self.bytes);
         self.stack_low_water = layout::STACK_TOP;
         self.heap_high_water = 0;
         self.data_used = 0;
@@ -660,6 +698,61 @@ mod tests {
             assert_eq!(used.read(s, 64).unwrap(), fresh.read(s, 64).unwrap());
         }
         assert_eq!(used.peak_rss(), fresh.peak_rss());
+    }
+
+    /// Write the last byte of every segment, then check that one byte
+    /// past its end faults for reads, program writes, loader writes
+    /// and straddling accesses, and that nothing lands in the next
+    /// range of the shared buffer or in another segment.
+    fn check_segment_edges(m: &mut Memory) {
+        let edges = m
+            .segments()
+            .map(|s| (s.name, s.end(), s.buf_end(), s.writable));
+        for (name, end, buf_end, writable) in edges {
+            let last = end - 1;
+            if writable {
+                m.write(last, &[0x5a]).unwrap();
+            } else {
+                assert!(m.write(last, &[0x5a]).is_err(), "{name}");
+                m.write_init(last, &[0x5a]).unwrap();
+            }
+            assert_eq!(m.read(last, 1).unwrap(), &[0x5a], "{name}");
+            assert!(m.read(end, 1).is_err(), "{name}");
+            assert!(m.read(last, 2).is_err(), "{name}");
+            assert!(m.write(end, &[0xa5]).is_err(), "{name}");
+            assert!(m.write_init(end, &[0xa5]).is_err(), "{name}");
+            assert!(m.write(last, &[0xa5; 2]).is_err(), "{name}");
+            assert!(m.write_init(last, &[0xa5; 2]).is_err(), "{name}");
+            assert_eq!(m.bytes[buf_end - 1], 0x5a, "{name}");
+            assert_eq!(m.bytes.get(buf_end).copied().unwrap_or(0), 0, "{name}");
+        }
+        // No last-byte write reached the start of another segment.
+        for s in m.segments() {
+            assert_eq!(m.read(s.base, 1).unwrap(), &[0], "{}", s.name);
+        }
+    }
+
+    #[test]
+    fn segment_edges_fault_without_touching_neighbours() {
+        let tiny = MemConfig {
+            rodata_size: 4096,
+            data_size: 8192,
+            heap_size: 4096,
+            stack_size: 16384,
+        };
+        for cfg in [MemConfig::default(), tiny] {
+            let mut m = Memory::new(cfg);
+            assert!(m.bytes.len() >= MIN_ALLOC_BYTES);
+            check_segment_edges(&mut m);
+            m.reset();
+            // The reset zeroed the writable last bytes and kept the
+            // loader's rodata byte; the edges hold as before.
+            for s in m.segments() {
+                let kept = if s.writable { 0 } else { 0x5a };
+                assert_eq!(m.read(s.end() - 1, 1).unwrap(), &[kept], "{}", s.name);
+            }
+            check_segment_edges(&mut m);
+        }
     }
 
     #[test]
