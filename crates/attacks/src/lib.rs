@@ -13,10 +13,10 @@
 //! (including the public, read-only P-BOX), ability to probe prior runs
 //! of the same build, and a finite brute-force budget of restarts.
 //!
-//! [`evaluate`] runs an attack against a [`DefenseKind`] for a number of
-//! independent trials and tallies successes, defense detections,
-//! crashes, and silent failures — the data behind the paper's
-//! penetration-test table.
+//! [`run_trial`] runs one trial campaign of an attack against a
+//! deployed [`Build`]; the `smokestack-campaign` engine runs trial
+//! grids of them and bounds each cell's success rate with a Wilson
+//! interval — the data behind the paper's penetration-test table.
 
 #![warn(missing_docs)]
 
@@ -267,7 +267,7 @@ pub struct TrialOutcome {
 }
 
 impl TrialOutcome {
-    /// The plain verdict (what [`campaign`] consumes).
+    /// The plain verdict (what [`run_trial`] consumes).
     pub fn into_outcome(self) -> AttackOutcome {
         self.outcome
     }
@@ -313,65 +313,11 @@ pub trait Attack: Send + Sync {
     fn attempt(&self, build: &Build, trial_seed: u64) -> AttackOutcome;
 }
 
-/// Aggregate result of `trials` independent attempts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AttackEval {
-    /// Attack name.
-    pub attack: String,
-    /// Defense evaluated.
-    pub defense: DefenseKind,
-    /// Number of attempts.
-    pub trials: u32,
-    /// Attempts that achieved the goal.
-    pub successes: u32,
-    /// Attempts terminated by a defense check.
-    pub detections: u32,
-    /// Attempts that crashed the service.
-    pub crashes: u32,
-    /// Attempts that ran clean but achieved nothing.
-    pub failures: u32,
-}
-
-impl AttackEval {
-    /// The paper's binary verdict: did the defense stop the attack?
-    pub fn stopped(&self) -> bool {
-        self.successes == 0
-    }
-}
-
-impl fmt::Display for AttackEval {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:<24} vs {:<22} {:>3}/{} success, {} detected, {} crashed, {} failed -> {}",
-            self.attack,
-            self.defense.label(),
-            self.successes,
-            self.trials,
-            self.detections,
-            self.crashes,
-            self.failures,
-            if self.stopped() {
-                "STOPPED"
-            } else {
-                "BYPASSED"
-            }
-        )
-    }
-}
-
 /// Restart budget per campaign (the paper's "finite number of attempts"
 /// brute-force model): the adversary may stealthily reconnoiter and
 /// restart, but the campaign ends at the first *noisy* attempt — a
 /// success, a crash, or a defense detection.
 pub const CAMPAIGN_BUDGET: u32 = 48;
-
-/// One attack campaign: repeated runs of the service, retried only
-/// while the adversary stays stealthy (aborts before corrupting
-/// anything). The first committed attempt decides the campaign.
-pub fn campaign(attack: &dyn Attack, build: &Build, campaign_seed: u64) -> AttackOutcome {
-    run_trial(attack, build, campaign_seed).outcome
-}
 
 /// The result of one full trial campaign, with the evidence Monte-Carlo
 /// engines aggregate beyond the verdict.
@@ -386,9 +332,12 @@ pub struct TrialRun {
     pub rounds: u32,
 }
 
-/// [`campaign`] returning the structured [`TrialRun`] (outcome plus the
-/// number of restarts the adversary consumed) — the per-trial entry
-/// point for campaign engines.
+/// One attack campaign: repeated runs of the service, retried only
+/// while the adversary stays stealthy (aborts before corrupting
+/// anything). The first committed attempt decides the campaign; the
+/// [`TrialRun`] carries it with the number of restarts the adversary
+/// consumed. The one trial entry point: campaign engines and unit
+/// tests alike call it.
 pub fn run_trial(attack: &dyn Attack, build: &Build, campaign_seed: u64) -> TrialRun {
     for r in 0..CAMPAIGN_BUDGET {
         let run_seed = campaign_seed
@@ -505,60 +454,22 @@ pub fn capture_incident(
     None
 }
 
-/// Run `attack` against `defense` for `trials` independent campaigns.
-pub fn evaluate(attack: &dyn Attack, defense: DefenseKind, trials: u32) -> AttackEval {
-    evaluate_seeded(attack, defense, trials, 0xa77a)
-}
-
-/// [`evaluate`] with an explicit base seed.
-pub fn evaluate_seeded(
+/// Trial `t` of the campaign series seeded by `base_seed`: a build of
+/// `attack` under `defense` with build seed `base_seed ^ 0xb11d`,
+/// attacked at campaign seed `base_seed * φ64 + t + 1`. Unit tests
+/// that pin one build's behaviour use it to name their builds.
+#[cfg(test)]
+pub(crate) fn seeded_trial(
     attack: &dyn Attack,
     defense: DefenseKind,
-    trials: u32,
     base_seed: u64,
-) -> AttackEval {
+    t: u64,
+) -> AttackOutcome {
     let build = Build::new(attack.source(), defense, base_seed ^ 0xb11d);
-    evaluate_build(attack, &build, trials, base_seed)
-}
-
-/// [`evaluate_seeded`] against a variant Smokestack pipeline (e.g. with
-/// `prune_safe_slots` on), so pruned builds can be held to the same
-/// no-regression bar as the default matrix.
-pub fn evaluate_configured(
-    attack: &dyn Attack,
-    defense: DefenseKind,
-    trials: u32,
-    base_seed: u64,
-    ss_cfg: &smokestack_core::SmokestackConfig,
-) -> AttackEval {
-    let build = Build::new_configured(attack.source(), defense, base_seed ^ 0xb11d, ss_cfg);
-    evaluate_build(attack, &build, trials, base_seed)
-}
-
-/// Run `trials` campaigns of `attack` against an already-deployed
-/// build.
-fn evaluate_build(attack: &dyn Attack, build: &Build, trials: u32, base_seed: u64) -> AttackEval {
-    let mut eval = AttackEval {
-        attack: attack.name().to_string(),
-        defense: build.defense,
-        trials,
-        successes: 0,
-        detections: 0,
-        crashes: 0,
-        failures: 0,
-    };
-    for t in 0..trials {
-        let campaign_seed = base_seed
-            .wrapping_mul(0x9e3779b97f4a7c15)
-            .wrapping_add(t as u64 + 1);
-        match campaign(attack, build, campaign_seed) {
-            AttackOutcome::Success(_) => eval.successes += 1,
-            AttackOutcome::Detected(_) => eval.detections += 1,
-            AttackOutcome::Crashed(_) => eval.crashes += 1,
-            AttackOutcome::Failed(_) | AttackOutcome::Aborted => eval.failures += 1,
-        }
-    }
-    eval
+    let campaign_seed = base_seed
+        .wrapping_mul(0x9e3779b97f4a7c15)
+        .wrapping_add(t + 1);
+    run_trial(attack, &build, campaign_seed).outcome
 }
 
 /// The standard attack suite in report order.
@@ -642,7 +553,7 @@ mod tests {
             AttackOutcome::Success("got it".into()),
         ]);
         let build = Build::new(a.source(), DefenseKind::None, 1);
-        let out = campaign(&a, &build, 42);
+        let out = run_trial(&a, &build, 42).outcome;
         assert!(out.is_success());
         assert_eq!(*a.calls.lock().unwrap(), 3);
     }
@@ -655,7 +566,7 @@ mod tests {
             AttackOutcome::Success("never reached".into()),
         ]);
         let build = Build::new(a.source(), DefenseKind::None, 1);
-        let out = campaign(&a, &build, 42);
+        let out = run_trial(&a, &build, 42).outcome;
         assert!(matches!(out, AttackOutcome::Detected(_)));
         assert_eq!(*a.calls.lock().unwrap(), 2);
     }
@@ -664,7 +575,7 @@ mod tests {
     fn campaign_budget_bounds_aborts() {
         let a = scripted(vec![]); // aborts forever
         let build = Build::new(a.source(), DefenseKind::None, 1);
-        let out = campaign(&a, &build, 42);
+        let out = run_trial(&a, &build, 42).outcome;
         assert!(matches!(out, AttackOutcome::Failed(_)));
         assert_eq!(*a.calls.lock().unwrap(), CAMPAIGN_BUDGET);
     }
@@ -728,8 +639,7 @@ mod tests {
         let defense = DefenseKind::Smokestack(smokestack_srng::SchemeKind::Aes10);
         let build =
             Build::new(attack.source(), defense, 42 ^ 0xb11d).with_recorder(recorder.clone());
-        let eval = evaluate_build(&attack, &build, 1, 42);
-        assert_eq!(eval.trials, 1);
+        run_trial(&attack, &build, 42u64.wrapping_mul(0x9e3779b97f4a7c15) + 1);
         let m = recorder.with(|r| r.to_metrics());
         assert!(m.counter("input_requests") > 0, "no input events");
         let checks = m.counter("guard_checks.passed") + m.counter("guard_checks.failed");

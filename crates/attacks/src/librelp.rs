@@ -255,7 +255,7 @@ impl Attack for LibrelpAttack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate_seeded;
+    use crate::seeded_trial;
 
     #[test]
     fn benign_run_leaks_nothing() {
@@ -267,81 +267,18 @@ mod tests {
     }
 
     #[test]
-    fn bypasses_unprotected() {
-        let eval = evaluate_seeded(&LibrelpAttack, DefenseKind::None, 2, 10);
-        assert_eq!(eval.successes, 2, "{eval}");
-    }
-
-    #[test]
-    fn bypasses_stack_base_randomization() {
-        let eval = evaluate_seeded(&LibrelpAttack, DefenseKind::StackBase, 2, 20);
-        assert_eq!(eval.successes, 2, "{eval}");
-    }
-
-    #[test]
-    fn bypasses_entry_padding() {
-        let eval = evaluate_seeded(&LibrelpAttack, DefenseKind::EntryPadding, 2, 30);
-        assert_eq!(eval.successes, 2, "{eval}");
-    }
-
-    #[test]
     fn static_permutation_bypassed_on_vulnerable_builds() {
         // The jump distance is bounded by the SAN buffer size, so a
         // static permutation is a per-build coin flip: builds where
         // allNames landed above szAltName are fully exploitable, and the
-        // attacker knows which from a single disclosure probe.
-        let mut bypassed = 0;
-        for base_seed in 0..8u64 {
-            let eval = evaluate_seeded(
-                &LibrelpAttack,
-                DefenseKind::StaticPermutation,
-                1,
-                40 + base_seed,
-            );
-            if eval.successes > 0 {
-                bypassed += 1;
-            }
-        }
+        // attacker knows which from a single disclosure probe. A
+        // campaign cell deploys one build, so this verdict needs one
+        // trial on each of several builds.
+        let bypassed = (0..8u64)
+            .filter(|b| {
+                seeded_trial(&LibrelpAttack, DefenseKind::StaticPermutation, 40 + b, 0).is_success()
+            })
+            .count();
         assert!(bypassed >= 1, "no vulnerable static-permutation build in 8");
-    }
-
-    #[test]
-    fn bypasses_stack_canary() {
-        // Non-linear: the cursor hops over the canary slot.
-        let eval = evaluate_seeded(&LibrelpAttack, DefenseKind::Canary, 2, 50);
-        assert_eq!(eval.successes, 2, "{eval}");
-    }
-
-    #[test]
-    fn stopped_by_smokestack_aes10() {
-        let eval = evaluate_seeded(
-            &LibrelpAttack,
-            DefenseKind::Smokestack(SchemeKind::Aes10),
-            6,
-            60,
-        );
-        assert!(eval.stopped(), "{eval}");
-    }
-
-    #[test]
-    fn stopped_by_smokestack_rdrand() {
-        let eval = evaluate_seeded(
-            &LibrelpAttack,
-            DefenseKind::Smokestack(SchemeKind::Rdrand),
-            4,
-            70,
-        );
-        assert!(eval.stopped(), "{eval}");
-    }
-
-    #[test]
-    fn bypasses_smokestack_pseudo() {
-        let eval = evaluate_seeded(
-            &LibrelpAttack,
-            DefenseKind::Smokestack(SchemeKind::Pseudo),
-            2,
-            81,
-        );
-        assert_eq!(eval.successes, 2, "{eval}");
     }
 }

@@ -224,25 +224,7 @@ impl Attack for Listing1Attack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate_seeded;
-
-    #[test]
-    fn bypasses_unprotected_build() {
-        let eval = evaluate_seeded(&Listing1Attack, DefenseKind::None, 3, 1);
-        assert_eq!(eval.successes, 3, "{eval}");
-    }
-
-    #[test]
-    fn bypasses_stack_base_randomization() {
-        let eval = evaluate_seeded(&Listing1Attack, DefenseKind::StackBase, 3, 2);
-        assert_eq!(eval.successes, 3, "{eval}");
-    }
-
-    #[test]
-    fn bypasses_entry_padding() {
-        let eval = evaluate_seeded(&Listing1Attack, DefenseKind::EntryPadding, 3, 3);
-        assert_eq!(eval.successes, 3, "{eval}");
-    }
+    use crate::seeded_trial;
 
     #[test]
     fn static_permutation_bypassed_on_vulnerable_builds() {
@@ -251,55 +233,28 @@ mod tests {
         // below the gadget variables are fully exploitable (the
         // attacker knows which, having disclosed the static layout).
         // The librelp case study shows the full bypass with a
-        // non-linear primitive.
+        // non-linear primitive. A campaign cell deploys one build, so
+        // this verdict needs one trial on each of many builds.
         let mut bypassed = 0;
         let mut blocked = 0;
         for base_seed in 0..12u64 {
-            let eval = evaluate_seeded(
+            let out = seeded_trial(
                 &Listing1Attack,
                 DefenseKind::StaticPermutation,
-                1,
                 base_seed,
+                0,
             );
-            if eval.successes > 0 {
+            if out.is_success() {
                 bypassed += 1;
             } else {
-                assert_eq!(eval.detections, 0, "static perm cannot detect: {eval}");
+                assert!(
+                    !matches!(out, AttackOutcome::Detected(_)),
+                    "static perm cannot detect: {out}"
+                );
                 blocked += 1;
             }
         }
         assert!(bypassed >= 1, "no vulnerable build among 12");
         assert!(blocked >= 1, "expected some builds to be lucky");
-    }
-
-    #[test]
-    fn bypasses_stack_canary() {
-        // Targeted DOP writes stop short of the canary slot.
-        let eval = evaluate_seeded(&Listing1Attack, DefenseKind::Canary, 3, 5);
-        assert_eq!(eval.successes, 3, "{eval}");
-    }
-
-    #[test]
-    fn stopped_by_smokestack_aes10() {
-        let eval = evaluate_seeded(
-            &Listing1Attack,
-            DefenseKind::Smokestack(SchemeKind::Aes10),
-            8,
-            6,
-        );
-        assert!(eval.stopped(), "{eval}");
-    }
-
-    #[test]
-    fn bypasses_smokestack_with_insecure_pseudo_rng() {
-        // The ablation: memory-resident PRNG state lets the adversary
-        // predict every permutation.
-        let eval = evaluate_seeded(
-            &Listing1Attack,
-            DefenseKind::Smokestack(SchemeKind::Pseudo),
-            3,
-            7,
-        );
-        assert_eq!(eval.successes, 3, "{eval}");
     }
 }

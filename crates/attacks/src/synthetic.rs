@@ -532,80 +532,3 @@ impl Attack for DataIndirect {
         indirect_attempt(build, run_seed, 7654321, 64)
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::evaluate_seeded;
-
-    fn check_matrix(attack: &dyn Attack, seed: u64) {
-        // Bypassed without protection and with ASLR-style base
-        // randomization; stopped by Smokestack with a secure scheme.
-        let none = evaluate_seeded(attack, DefenseKind::None, 2, seed);
-        assert_eq!(none.successes, 2, "{none}");
-        let base = evaluate_seeded(attack, DefenseKind::StackBase, 2, seed + 1);
-        assert_eq!(base.successes, 2, "{base}");
-        let ss = evaluate_seeded(
-            attack,
-            DefenseKind::Smokestack(SchemeKind::Aes10),
-            4,
-            seed + 2,
-        );
-        assert!(ss.stopped(), "{ss}");
-    }
-
-    #[test]
-    fn direct_stack_matrix() {
-        check_matrix(&DirectStack, 11);
-    }
-
-    #[test]
-    fn indirect_stack_matrix() {
-        check_matrix(&IndirectStack, 22);
-    }
-
-    #[test]
-    fn heap_indirect_matrix() {
-        check_matrix(&HeapIndirect, 33);
-    }
-
-    #[test]
-    fn data_indirect_matrix() {
-        check_matrix(&DataIndirect, 44);
-    }
-
-    #[test]
-    fn pseudo_prediction_bypasses_direct_stack() {
-        let eval = evaluate_seeded(
-            &DirectStack,
-            DefenseKind::Smokestack(SchemeKind::Pseudo),
-            2,
-            55,
-        );
-        assert_eq!(eval.successes, 2, "{eval}");
-    }
-
-    #[test]
-    fn pseudo_prediction_bypasses_heap_indirect() {
-        let eval = evaluate_seeded(
-            &HeapIndirect,
-            DefenseKind::Smokestack(SchemeKind::Pseudo),
-            2,
-            66,
-        );
-        assert_eq!(eval.successes, 2, "{eval}");
-    }
-
-    #[test]
-    fn canary_bypassed_by_targeted_direct_stack() {
-        // The targeted payload stops short of the canary slot.
-        let eval = evaluate_seeded(&DirectStack, DefenseKind::Canary, 2, 77);
-        assert_eq!(eval.successes, 2, "{eval}");
-    }
-
-    #[test]
-    fn entry_padding_bypassed() {
-        let eval = evaluate_seeded(&IndirectStack, DefenseKind::EntryPadding, 2, 88);
-        assert_eq!(eval.successes, 2, "{eval}");
-    }
-}

@@ -177,55 +177,3 @@ impl Attack for WiresharkAttack {
         conclude(&out, &committed, bots >= 1, "bot command gadget executed").into_outcome()
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::evaluate_seeded;
-    use smokestack_srng::SchemeKind;
-
-    #[test]
-    fn bypasses_unprotected() {
-        let eval = evaluate_seeded(&WiresharkAttack, DefenseKind::None, 2, 10);
-        assert_eq!(eval.successes, 2, "{eval}");
-    }
-
-    #[test]
-    fn bypasses_stack_base_randomization() {
-        let eval = evaluate_seeded(&WiresharkAttack, DefenseKind::StackBase, 2, 20);
-        assert_eq!(eval.successes, 2, "{eval}");
-    }
-
-    #[test]
-    fn bypasses_entry_padding() {
-        let eval = evaluate_seeded(&WiresharkAttack, DefenseKind::EntryPadding, 2, 30);
-        assert_eq!(eval.successes, 2, "{eval}");
-    }
-
-    #[test]
-    fn detected_by_smokestack_guard_every_scheme() {
-        // The linear sweep cannot avoid the guard slot, and the guard
-        // value depends on a key outside attacker-readable memory — so
-        // even the pseudo-RNG variant detects this attack.
-        for (i, scheme) in SchemeKind::ALL.into_iter().enumerate() {
-            let eval = evaluate_seeded(
-                &WiresharkAttack,
-                DefenseKind::Smokestack(scheme),
-                3,
-                40 + i as u64,
-            );
-            assert!(eval.stopped(), "{eval}");
-            assert!(eval.detections > 0, "expected guard detections: {eval}");
-        }
-    }
-
-    #[test]
-    fn canary_detects_linear_sweep() {
-        // Honest result: a classic canary *does* catch this particular
-        // linear sweep (the paper's Smokestack comparison point is the
-        // non-linear librelp attack, which skips canaries).
-        let eval = evaluate_seeded(&WiresharkAttack, DefenseKind::Canary, 2, 60);
-        assert!(eval.stopped(), "{eval}");
-        assert!(eval.detections > 0, "{eval}");
-    }
-}

@@ -259,7 +259,7 @@ impl Attack for ToctouRaceAttack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::evaluate_seeded;
+    use crate::seeded_trial;
     use smokestack_defenses::DefenseKind;
     use smokestack_minic::compile;
     use smokestack_srng::SchemeKind;
@@ -280,60 +280,39 @@ mod tests {
     }
 
     #[test]
-    fn overflow_bypasses_unprotected() {
-        let eval = evaluate_seeded(&SharedOverflowAttack, DefenseKind::None, 2, 10);
-        assert_eq!(eval.successes, 2, "{eval}");
-    }
-
-    #[test]
-    fn toctou_bypasses_unprotected() {
-        let eval = evaluate_seeded(&ToctouRaceAttack, DefenseKind::None, 2, 11);
-        assert_eq!(eval.successes, 2, "{eval}");
-    }
-
-    #[test]
     fn overflow_bypasses_stack_base_and_entry_padding() {
+        // The `matrix` plan checks the baseline and Smokestack rows;
+        // these two prior schemes, whose trials are too slow for a
+        // debug-build plan, are checked here.
         for (defense, seed) in [
             (DefenseKind::StackBase, 20),
             (DefenseKind::EntryPadding, 21),
         ] {
-            let eval = evaluate_seeded(&SharedOverflowAttack, defense, 2, seed);
-            assert_eq!(eval.successes, 2, "{eval}");
+            for t in 0..2 {
+                let out = seeded_trial(&SharedOverflowAttack, defense, seed, t);
+                assert!(out.is_success(), "{defense}: {out}");
+            }
         }
     }
 
     #[test]
-    fn overflow_stopped_by_smokestack_aes10() {
-        let eval = evaluate_seeded(
-            &SharedOverflowAttack,
-            DefenseKind::Smokestack(SchemeKind::Aes10),
-            6,
-            30,
-        );
-        assert!(eval.stopped(), "{eval}");
-        assert!(eval.detections > 0, "guard never fired: {eval}");
-    }
-
-    #[test]
-    fn toctou_stopped_by_smokestack_aes10() {
-        let eval = evaluate_seeded(
-            &ToctouRaceAttack,
-            DefenseKind::Smokestack(SchemeKind::Aes10),
-            6,
-            31,
-        );
-        assert!(eval.stopped(), "{eval}");
-    }
-
-    #[test]
-    fn overflow_stopped_by_smokestack_rdrand() {
-        let eval = evaluate_seeded(
-            &SharedOverflowAttack,
-            DefenseKind::Smokestack(SchemeKind::Rdrand),
-            4,
-            32,
-        );
-        assert!(eval.stopped(), "{eval}");
+    fn overflow_detected_by_smokestack_guard() {
+        // The `matrix` plan caps the success rate; the guard slot is
+        // what catches the cross-thread write.
+        let detected = (0..6)
+            .filter(|&t| {
+                matches!(
+                    seeded_trial(
+                        &SharedOverflowAttack,
+                        DefenseKind::Smokestack(SchemeKind::Aes10),
+                        30,
+                        t,
+                    ),
+                    AttackOutcome::Detected(_)
+                )
+            })
+            .count();
+        assert!(detected > 0, "guard never fired in 6 campaigns");
     }
 
     #[test]

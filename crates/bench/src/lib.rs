@@ -8,7 +8,7 @@
 //! | Table I (RNG source rates) | `table1` | [`table1_rows`] |
 //! | Figure 3 (% runtime overhead) | `figure3` | [`figure3_data`] |
 //! | Figure 4 (% memory overhead) | `figure4` | [`figure4_data`] |
-//! | §V-C penetration tests | `security_eval` | [`security_matrix`] |
+//! | §V-C penetration tests | `campaign --plan full --jobs 2 [--deny-regressions]` | `smokestack_campaign::full_bounds` |
 //!
 //! Hand-rolled benches (`cargo bench`, see [`harness`]) additionally
 //! measure host wall-clock for the RNG sources, the permutation engine,
@@ -24,7 +24,6 @@
 
 pub mod harness;
 
-use smokestack_attacks::{evaluate_seeded, standard_suite, AttackEval};
 use smokestack_core::{harden, SmokestackConfig};
 use smokestack_defenses::DefenseKind;
 use smokestack_srng::SchemeKind;
@@ -152,19 +151,6 @@ pub fn figure4_data() -> Vec<Figure4Row> {
             }
         })
         .collect()
-}
-
-/// The §V-C security matrix: every attack in the standard suite against
-/// every defense, `trials` campaigns each.
-pub fn security_matrix(trials: u32, base_seed: u64) -> Vec<AttackEval> {
-    let suite = standard_suite();
-    let mut out = Vec::new();
-    for attack in &suite {
-        for defense in DefenseKind::MATRIX {
-            out.push(evaluate_seeded(attack.as_ref(), defense, trials, base_seed));
-        }
-    }
-    out
 }
 
 /// Render a simple ASCII bar (for the figure binaries).
@@ -457,7 +443,7 @@ pub fn guard_ablation(trials: u32) -> Vec<GuardAblation> {
             }
             // Wireshark exploit with/without guards. We rebuild the
             // defense by hand to control the guard flag.
-            use smokestack_attacks::{campaign, Attack, Build};
+            use smokestack_attacks::{run_trial, Attack, Build};
             let attack = smokestack_attacks::wireshark::WiresharkAttack;
             let mut module = smokestack_minic::compile(attack.source()).expect("attack program");
             let report = harden(&mut module, &cfg).unwrap();
@@ -474,7 +460,7 @@ pub fn guard_ablation(trials: u32) -> Vec<GuardAblation> {
             let mut stopped = true;
             let mut detections = 0;
             for t in 0..trials {
-                match campaign(&attack, &build, 0x1000 + t as u64) {
+                match run_trial(&attack, &build, 0x1000 + t as u64).outcome {
                     smokestack_attacks::AttackOutcome::Success(_) => stopped = false,
                     smokestack_attacks::AttackOutcome::Detected(_) => detections += 1,
                     _ => {}

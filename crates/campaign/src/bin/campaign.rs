@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! campaign --plan smoke --jobs 4 --out smoke.jsonl
-//! campaign --plan matrix --jobs 8 --deny-regressions
+//! campaign --plan full --jobs 2 --deny-regressions
 //! campaign --plan my-plan.txt --resume --out my.jsonl --json
 //! ```
 //!
@@ -18,7 +18,7 @@ use std::io::Read as _;
 use std::process::ExitCode;
 
 use smokestack_campaign::{
-    aggregate, bounds_for_plan, check, journal_header, parse_journal, run_campaign, CampaignPlan,
+    aggregate, check, journal_header, parse_journal, pinned_bounds, run_campaign, CampaignPlan,
     CellStats, EngineConfig, Journal,
 };
 use smokestack_telemetry::{render_prometheus, SharedJsonlSink};
@@ -41,12 +41,12 @@ const USAGE: &str = "usage: campaign --plan <name|file> [--jobs N] [--out journa
 [--resume] [--json] [--deny-regressions] [--max-trials N] [--master-seed S] [--uniformity] \
 [--stats] [--incidents]
 
-plans: smoke | matrix | full | path to a plan file
+plans: smoke | matrix | matrix-synth | full | path to a plan file
   --jobs N             worker threads (default 1)
   --out FILE           write/append the JSONL trial journal to FILE
   --resume             skip trials already present in --out's journal
   --json               emit per-cell stats as JSONL instead of a table
-  --deny-regressions   check the security matrix v2 bounds; exit 1 on violation
+  --deny-regressions   check the built-in plan's pinned bounds; exit 1 on violation
   --max-trials N       cap every plan cell at N trials
   --master-seed S      override the plan's master seed (decimal or 0x hex)
   --uniformity         trace P-BOX draws and report chi-squared uniformity
@@ -155,6 +155,13 @@ fn run() -> Result<bool, String> {
     if let Some(max) = args.max_trials {
         plan = plan.truncated(max);
     }
+    // Resolve the bounds before running anything: a plan they were not
+    // calibrated for is refused up front.
+    let bounds = args
+        .deny_regressions
+        .then(|| pinned_bounds(&plan))
+        .transpose()
+        .map_err(|e| format!("--deny-regressions: {e}"))?;
 
     // Resume: recover completed trials from the journal on disk.
     let mut prior = Journal::default();
@@ -272,28 +279,14 @@ fn run() -> Result<bool, String> {
     }
 
     let mut ok = true;
-    if args.deny_regressions {
-        let bounds = bounds_for_plan(&plan.name).ok_or_else(|| {
-            format!(
-                "--deny-regressions has no pinned bounds for plan `{}` \
-                 (built-in plans: smoke, matrix, full)",
-                plan.name
-            )
-        })?;
-        if args.max_trials.is_some() {
-            return Err(
-                "--deny-regressions bounds are calibrated for full trial counts; \
-                 drop --max-trials"
-                    .to_string(),
-            );
-        }
+    if let Some(bounds) = bounds {
         let violations = check(&stats, &bounds);
         for v in &violations {
             eprintln!("REGRESSION: {v}");
         }
         if violations.is_empty() {
             eprintln!(
-                "security matrix v2 ({}): all {} bounds hold",
+                "pinned bounds of plan `{}`: all {} hold",
                 plan.name,
                 bounds.len()
             );

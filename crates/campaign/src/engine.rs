@@ -143,10 +143,12 @@ struct CellCtx {
 fn make_ctx(plan: &CampaignPlan, cell: u32, cfg: &EngineConfig) -> CellCtx {
     let spec = &plan.cells[cell as usize];
     let attack = by_name(&spec.attack).expect("plan validated before spawn");
-    let mut build = Build::new(
+    let fleet = spec.fleet();
+    let mut build = Build::new_configured(
         attack.source(),
-        spec.defense,
+        fleet.defense,
         build_seed(plan.master_seed, cell),
+        &fleet.smokestack_config(),
     );
     let recorder = (cfg.trace_uniformity || cfg.collect_stats).then(SharedRecorder::default);
     if let Some(r) = &recorder {
@@ -156,7 +158,7 @@ fn make_ctx(plan: &CampaignPlan, cell: u32, cfg: &EngineConfig) -> CellCtx {
         attack,
         build,
         recorder,
-        defense_label: spec.defense.label(),
+        defense_label: fleet.label(),
     }
 }
 
@@ -206,7 +208,7 @@ pub fn run_campaign(
                 task.cell,
                 task.index,
                 ctx.attack.name(),
-                &ctx.build.defense.label(),
+                &ctx.defense_label,
                 task.seed,
                 &run,
             );
@@ -295,21 +297,17 @@ mod tests {
             name: "tiny".into(),
             master_seed: 0x7e57,
             cells: vec![
-                PlanCell {
-                    attack: "listing1-dop".into(),
-                    defense: DefenseKind::None,
-                    trials: 4,
-                },
-                PlanCell {
-                    attack: "listing1-dop".into(),
-                    defense: DefenseKind::Smokestack(SchemeKind::Pseudo),
-                    trials: 3,
-                },
-                PlanCell {
-                    attack: "synthetic-direct-stack".into(),
-                    defense: DefenseKind::Smokestack(SchemeKind::Aes10),
-                    trials: 3,
-                },
+                PlanCell::new("listing1-dop", DefenseKind::None, 4),
+                PlanCell::new(
+                    "listing1-dop",
+                    DefenseKind::Smokestack(SchemeKind::Pseudo),
+                    3,
+                ),
+                PlanCell::new(
+                    "synthetic-direct-stack",
+                    DefenseKind::Smokestack(SchemeKind::Aes10),
+                    3,
+                ),
             ],
         }
     }
@@ -376,11 +374,11 @@ mod tests {
         let plan = CampaignPlan {
             name: "uniform".into(),
             master_seed: 1,
-            cells: vec![PlanCell {
-                attack: "listing1-dop".into(),
-                defense: DefenseKind::Smokestack(SchemeKind::Aes10),
-                trials: 2,
-            }],
+            cells: vec![PlanCell::new(
+                "listing1-dop",
+                DefenseKind::Smokestack(SchemeKind::Aes10),
+                2,
+            )],
         };
         let result = run_campaign(
             &plan,
@@ -447,11 +445,11 @@ mod tests {
         let plan = CampaignPlan {
             name: "blocked".into(),
             master_seed: 0x7e57,
-            cells: vec![PlanCell {
-                attack: "synthetic-direct-stack".into(),
-                defense: DefenseKind::Smokestack(SchemeKind::Aes10),
-                trials: 3,
-            }],
+            cells: vec![PlanCell::new(
+                "synthetic-direct-stack",
+                DefenseKind::Smokestack(SchemeKind::Aes10),
+                3,
+            )],
         };
         let cfg = EngineConfig {
             capture_incidents: true,
@@ -502,11 +500,7 @@ mod tests {
         let plan = CampaignPlan {
             name: "bad".into(),
             master_seed: 0,
-            cells: vec![PlanCell {
-                attack: "no-such-attack".into(),
-                defense: DefenseKind::None,
-                trials: 1,
-            }],
+            cells: vec![PlanCell::new("no-such-attack", DefenseKind::None, 1)],
         };
         assert!(run_campaign(&plan, &EngineConfig::default(), &HashSet::new(), None).is_err());
     }

@@ -8,8 +8,8 @@
 //! working defense from a lucky one. This crate scales the evidence:
 //!
 //! * [`plan`] — declarative attack × defense × trial-count grids with
-//!   a master seed; built-in `smoke`, `matrix`, and `full` plans plus a
-//!   plan-file parser.
+//!   a master seed; built-in `smoke`, `matrix`, `matrix-synth` and
+//!   `full` plans plus a plan-file parser.
 //! * [`pool`] — the reusable scoped-thread worker pool (over the
 //!   hand-rolled work-stealing [`queue`]) with per-worker non-`Send`
 //!   state; the engine here and the differential fuzzer both shard
@@ -24,10 +24,11 @@
 //!   probability, survival curves over adaptive-attacker restart
 //!   budgets, and (via the engine's merged telemetry) chi-squared
 //!   layout-uniformity evidence.
-//! * [`matrix`] — the pinned "security matrix v2": interval-based
-//!   bounds asserting that real-CVE attacks stay below a
-//!   paper-consistent success ceiling under secure schemes while fully
-//!   compromising the unprotected baseline.
+//! * [`matrix`] — the pinned interval bounds of every built-in plan,
+//!   up to the `full` plan's bounds on the paper's whole §II-C/§V-C
+//!   verdict matrix: prior schemes bypassed, secure Smokestack schemes
+//!   holding every attack below a paper-consistent success ceiling,
+//!   the `pseudo` source falling.
 //!
 //! The `campaign` binary drives all of it from the command line.
 
@@ -41,9 +42,10 @@ pub mod stats;
 
 pub use engine::{build_seed, run_campaign, trial_seed, CampaignResult, EngineConfig, RecordSink};
 pub use matrix::{
-    bounds_for_plan, check, security_matrix_v2, smoke_bounds, MatrixBound, Violation,
+    bounds_for_plan, check, full_bounds, pinned_bounds, security_matrix_v2, smoke_bounds,
+    CellBound, MatrixBound, Violation,
 };
-pub use plan::{CampaignPlan, PlanCell};
+pub use plan::{CampaignPlan, PlanCell, BUILTIN_PLANS};
 pub use pool::{run_pool, run_pool_draining, DrainGate, PoolRun};
 pub use queue::WorkQueue;
 pub use record::{

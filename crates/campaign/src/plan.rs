@@ -7,8 +7,10 @@
 //! across `--jobs` settings and across checkpoint/resume boundaries.
 
 use smokestack_attacks::Attack;
-use smokestack_defenses::DefenseKind;
+use smokestack_defenses::{DefenseKind, Fleet};
 use smokestack_srng::SchemeKind;
+
+use crate::matrix::retains_residual;
 
 /// One grid cell: `trials` independent campaigns of one attack against
 /// one deployed defense.
@@ -18,9 +20,35 @@ pub struct PlanCell {
     pub attack: String,
     /// The defense deployed on the vulnerable build.
     pub defense: DefenseKind,
+    /// Whether Smokestack deploys with `prune_safe_slots` (the
+    /// `+prune` fleet variant).
+    pub pruned: bool,
     /// Number of independent Monte-Carlo trials.
     pub trials: u32,
 }
+
+impl PlanCell {
+    /// An unpruned cell.
+    pub fn new(attack: &str, defense: DefenseKind, trials: u32) -> PlanCell {
+        PlanCell {
+            attack: attack.into(),
+            defense,
+            pruned: false,
+            trials,
+        }
+    }
+
+    /// The defense row this cell deploys.
+    pub fn fleet(&self) -> Fleet {
+        Fleet {
+            defense: self.defense,
+            pruned: self.pruned,
+        }
+    }
+}
+
+/// Names of the built-in plans, in [`CampaignPlan::builtin`] order.
+pub const BUILTIN_PLANS: [&str; 4] = ["smoke", "matrix", "matrix-synth", "full"];
 
 /// A full campaign plan: named grid + master seed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,7 +82,7 @@ impl CampaignPlan {
         eat(&self.master_seed.to_le_bytes());
         for cell in &self.cells {
             eat(cell.attack.as_bytes());
-            eat(cell.defense.label().as_bytes());
+            eat(cell.fleet().label().as_bytes());
             eat(&cell.trials.to_le_bytes());
         }
         h
@@ -79,11 +107,7 @@ impl CampaignPlan {
             DefenseKind::Smokestack(SchemeKind::Pseudo),
             DefenseKind::Smokestack(SchemeKind::Aes10),
         ] {
-            cells.push(PlanCell {
-                attack: "listing1-dop".into(),
-                defense,
-                trials: 25,
-            });
+            cells.push(PlanCell::new("listing1-dop", defense, 25));
         }
         for defense in [
             DefenseKind::None,
@@ -91,11 +115,7 @@ impl CampaignPlan {
             DefenseKind::EntryPadding,
             DefenseKind::Smokestack(SchemeKind::Aes10),
         ] {
-            cells.push(PlanCell {
-                attack: "synthetic-direct-stack".into(),
-                defense,
-                trials: 25,
-            });
+            cells.push(PlanCell::new("synthetic-direct-stack", defense, 25));
         }
         CampaignPlan {
             name: "smoke".into(),
@@ -120,11 +140,7 @@ impl CampaignPlan {
                 DefenseKind::Smokestack(SchemeKind::Aes10),
                 DefenseKind::Smokestack(SchemeKind::Rdrand),
             ] {
-                cells.push(PlanCell {
-                    attack: attack.into(),
-                    defense,
-                    trials: 120,
-                });
+                cells.push(PlanCell::new(attack, defense, 120));
             }
         }
         // Cross-thread DOP rows: one thread corrupting a sibling
@@ -136,11 +152,7 @@ impl CampaignPlan {
                 DefenseKind::Smokestack(SchemeKind::Aes10),
                 DefenseKind::Smokestack(SchemeKind::Rdrand),
             ] {
-                cells.push(PlanCell {
-                    attack: attack.into(),
-                    defense,
-                    trials: 120,
-                });
+                cells.push(PlanCell::new(attack, defense, 120));
             }
         }
         CampaignPlan {
@@ -150,23 +162,40 @@ impl CampaignPlan {
         }
     }
 
-    /// The full grid: the whole standard suite plus the adaptive
-    /// attacker against every defense row of the paper's comparison.
+    /// The paper's §II-C/§V-C evaluation, pinned by
+    /// [`crate::matrix::full_bounds`]: the whole standard suite plus
+    /// the adaptive attacker against every defense row of the paper's
+    /// comparison, and one `smokestack/AES-10+prune` row per
+    /// standard-suite attack for the pruning verdict. Cells get 40
+    /// trials, except that attacks which retain a brute-force residual
+    /// get 120 against the secure Smokestack schemes, where their
+    /// caps need the tighter interval.
     pub fn full() -> CampaignPlan {
         let mut cells = Vec::new();
-        let attacks: Vec<String> = smokestack_attacks::standard_suite()
+        let suite: Vec<String> = smokestack_attacks::standard_suite()
             .iter()
             .map(|a| a.name().to_string())
-            .chain(std::iter::once("adaptive-same-invocation".to_string()))
             .collect();
-        for attack in &attacks {
+        let mut cell = |attack: &str, defense: DefenseKind, pruned: bool| {
+            let secure = matches!(defense, DefenseKind::Smokestack(s) if s != SchemeKind::Pseudo);
+            let trials = if secure && retains_residual(attack) {
+                120
+            } else {
+                40
+            };
+            cells.push(PlanCell {
+                pruned,
+                ..PlanCell::new(attack, defense, trials)
+            });
+        };
+        for attack in &suite {
             for defense in DefenseKind::MATRIX {
-                cells.push(PlanCell {
-                    attack: attack.clone(),
-                    defense,
-                    trials: 40,
-                });
+                cell(attack, defense, false);
             }
+            cell(attack, DefenseKind::Smokestack(SchemeKind::Aes10), true);
+        }
+        for defense in DefenseKind::MATRIX {
+            cell("adaptive-same-invocation", defense, false);
         }
         CampaignPlan {
             name: "full".into(),
@@ -181,25 +210,22 @@ impl CampaignPlan {
     /// contained?). Baseline cells are small because the unprotected
     /// layout is deterministic; AES-10 cells carry enough trials for
     /// the Wilson bounds in [`crate::matrix::synth_bounds`], with extra
-    /// budget for the librelp cursor jump's brute-force residual.
+    /// budget for the attacks that [`retains_residual`].
     pub fn matrix_synth() -> CampaignPlan {
         let mut cells = Vec::new();
         for attack in smokestack_attacks::synth::catalog() {
-            cells.push(PlanCell {
-                attack: attack.name().into(),
-                defense: DefenseKind::None,
-                trials: 8,
-            });
-            // The librelp cursor jump and the small-frame chain corpus
-            // both retain a brute-force residual under randomization,
-            // so their caps need the tighter interval of more trials.
-            let residual = attack.name().contains("librelp") || attack.name().contains("chains");
-            let trials = if residual { 120 } else { 40 };
-            cells.push(PlanCell {
-                attack: attack.name().into(),
-                defense: DefenseKind::Smokestack(SchemeKind::Aes10),
+            cells.push(PlanCell::new(attack.name(), DefenseKind::None, 8));
+            // Residual caps need the tighter interval of more trials.
+            let trials = if retains_residual(attack.name()) {
+                120
+            } else {
+                40
+            };
+            cells.push(PlanCell::new(
+                attack.name(),
+                DefenseKind::Smokestack(SchemeKind::Aes10),
                 trials,
-            });
+            ));
         }
         CampaignPlan {
             name: "matrix-synth".into(),
@@ -229,7 +255,8 @@ impl CampaignPlan {
     /// ```
     ///
     /// `cell` lines are `<attack> <defense-label> <trials>`; attack and
-    /// defense names never contain whitespace. Unknown attacks and
+    /// defense names never contain whitespace. A defense label may carry
+    /// the `+prune` suffix of a [`Fleet::label`]. Unknown attacks and
     /// defense labels are rejected here, not at run time.
     pub fn parse(text: &str) -> Result<CampaignPlan, String> {
         let mut name = None;
@@ -274,7 +301,7 @@ impl CampaignPlan {
                     if smokestack_attacks::by_name(attack).is_none() {
                         return Err(err(format!("unknown attack `{attack}`")));
                     }
-                    let defense = DefenseKind::from_label(defense)
+                    let fleet = Fleet::from_label(defense)
                         .ok_or_else(|| err(format!("unknown defense `{defense}`")))?;
                     let trials: u32 = trials
                         .parse()
@@ -283,9 +310,8 @@ impl CampaignPlan {
                         return Err(err("trial count must be positive".into()));
                     }
                     cells.push(PlanCell {
-                        attack: attack.to_string(),
-                        defense,
-                        trials,
+                        pruned: fleet.pruned,
+                        ..PlanCell::new(attack, fleet.defense, trials)
                     });
                 }
                 other => return Err(err(format!("unknown keyword `{other}`"))),
@@ -359,7 +385,7 @@ mod tests {
 
     #[test]
     fn builtin_plans_resolve_and_are_runnable() {
-        for name in ["smoke", "matrix", "matrix-synth", "full"] {
+        for name in BUILTIN_PLANS {
             let plan = CampaignPlan::builtin(name).unwrap();
             assert_eq!(plan.name, name);
             assert!(plan.total_trials() > 0);

@@ -20,7 +20,8 @@
 //!   not targeted corruption beyond it.
 //!
 //! [`DefenseKind`] enumerates the full evaluation matrix (including
-//! Smokestack itself) and [`deploy`] applies any of them uniformly.
+//! Smokestack itself) and [`deploy`] applies any of them uniformly;
+//! [`Fleet`] pairs a kind with the Smokestack pruning variant.
 
 #![warn(missing_docs)]
 
@@ -102,6 +103,50 @@ impl DefenseKind {
 impl fmt::Display for DefenseKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.label())
+    }
+}
+
+/// A defense plus the Smokestack pipeline variant it deploys with: the
+/// row label shared by serve fleets and campaign plan cells. `pruned`
+/// selects the `prune_safe_slots` variant (ignored for non-Smokestack
+/// defenses).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Fleet {
+    /// The defense deployed on every build of this fleet.
+    pub defense: DefenseKind,
+    /// Whether Smokestack deploys with `prune_safe_slots` enabled.
+    pub pruned: bool,
+}
+
+impl Fleet {
+    /// Stable label, e.g. `smokestack/AES-10+prune`. Unpruned fleets
+    /// carry the plain [`DefenseKind::label`].
+    pub fn label(&self) -> String {
+        if self.pruned {
+            format!("{}+prune", self.defense.label())
+        } else {
+            self.defense.label()
+        }
+    }
+
+    /// Parse a [`Fleet::label`].
+    pub fn from_label(s: &str) -> Option<Fleet> {
+        let (base, pruned) = match s.strip_suffix("+prune") {
+            Some(base) => (base, true),
+            None => (s, false),
+        };
+        Some(Fleet {
+            defense: DefenseKind::from_label(base)?,
+            pruned,
+        })
+    }
+
+    /// The Smokestack configuration this fleet deploys with.
+    pub fn smokestack_config(&self) -> smokestack_core::SmokestackConfig {
+        smokestack_core::SmokestackConfig {
+            prune_safe_slots: self.pruned,
+            ..smokestack_core::SmokestackConfig::default()
+        }
     }
 }
 
@@ -465,5 +510,21 @@ mod tests {
             );
         }
         assert_eq!(DefenseKind::from_label("no-such-defense"), None);
+    }
+
+    #[test]
+    fn fleet_labels_round_trip() {
+        for defense in DefenseKind::MATRIX {
+            for pruned in [false, true] {
+                let fleet = Fleet { defense, pruned };
+                assert_eq!(Fleet::from_label(&fleet.label()), Some(fleet));
+            }
+            let plain = Fleet {
+                defense,
+                pruned: false,
+            };
+            assert_eq!(plain.label(), defense.label());
+        }
+        assert_eq!(Fleet::from_label("nope+prune"), None);
     }
 }

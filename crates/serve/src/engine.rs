@@ -25,7 +25,6 @@ use std::time::{Duration, Instant};
 
 use smokestack_attacks::{Attack, AttackOutcome, Build};
 use smokestack_campaign::{run_pool_draining, DrainGate, RecordSink};
-use smokestack_core::SmokestackConfig;
 use smokestack_defenses::{deploy_configured, DefenseKind, Deployment};
 use smokestack_ir::Module;
 use smokestack_minic::compile;
@@ -145,11 +144,13 @@ fn deploy_cells(plan: &ServePlan) -> Result<Vec<CellSpec>, String> {
         for (ai, (app, base)) in bases.iter().enumerate() {
             let build_seed = traffic::cell_build_seed(plan, fi, ai);
             let mut module = base.clone();
-            let ss_cfg = SmokestackConfig {
-                prune_safe_slots: fleet.pruned,
-                ..SmokestackConfig::default()
-            };
-            let deployment = deploy_configured(fleet.defense, &mut module, build_seed, 0, &ss_cfg);
+            let deployment = deploy_configured(
+                fleet.defense,
+                &mut module,
+                build_seed,
+                0,
+                &fleet.smokestack_config(),
+            );
             smokestack_ir::verify_module(&module)
                 .map_err(|e| format!("cell {}/{}: {e:?}", fleet.label(), app.name))?;
             let module = Arc::new(module);

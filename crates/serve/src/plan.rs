@@ -11,39 +11,7 @@ use smokestack_srng::SchemeKind;
 
 use crate::apps;
 
-/// One defense fleet: a slice of the tenant population hardened the
-/// same way. `pruned` selects the `prune_safe_slots` Smokestack
-/// pipeline variant (ignored for non-Smokestack defenses).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fleet {
-    /// The defense deployed on every build this fleet serves.
-    pub defense: DefenseKind,
-    /// Whether Smokestack deploys with `prune_safe_slots` enabled.
-    pub pruned: bool,
-}
-
-impl Fleet {
-    /// Stable label, e.g. `smokestack/AES-10+prune`.
-    pub fn label(&self) -> String {
-        if self.pruned {
-            format!("{}+prune", self.defense.label())
-        } else {
-            self.defense.label()
-        }
-    }
-
-    /// Parse a [`Fleet::label`].
-    pub fn from_label(s: &str) -> Option<Fleet> {
-        let (base, pruned) = match s.strip_suffix("+prune") {
-            Some(base) => (base, true),
-            None => (s, false),
-        };
-        Some(Fleet {
-            defense: DefenseKind::from_label(base)?,
-            pruned,
-        })
-    }
-}
+pub use smokestack_defenses::Fleet;
 
 /// A full serve plan.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -8,7 +8,7 @@
 //! ```
 
 use smokestack_repro::attacks::listing1::{Listing1Attack, EXPECTED, SOURCE};
-use smokestack_repro::attacks::{campaign, Attack, Build};
+use smokestack_repro::attacks::{run_trial, Attack, Build};
 use smokestack_repro::defenses::DefenseKind;
 use smokestack_repro::srng::SchemeKind;
 
@@ -39,7 +39,7 @@ fn main() {
     println!("{}", "-".repeat(64));
     for defense in defenses {
         let build = Build::new(attack.source(), defense, 0xb11d);
-        let outcome = campaign(&attack, &build, 0x5eed);
+        let outcome = run_trial(&attack, &build, 0x5eed).outcome;
         println!("{:<24} {outcome}", defense.label());
     }
     println!();

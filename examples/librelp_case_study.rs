@@ -9,7 +9,7 @@
 //! ```
 
 use smokestack_repro::attacks::librelp::{LibrelpAttack, SECRET};
-use smokestack_repro::attacks::{campaign, Attack, AttackOutcome, Build};
+use smokestack_repro::attacks::{run_trial, Attack, AttackOutcome, Build};
 use smokestack_repro::defenses::DefenseKind;
 use smokestack_repro::srng::SchemeKind;
 
@@ -30,7 +30,7 @@ fn main() {
     println!("{}", "-".repeat(72));
     for defense in DefenseKind::MATRIX {
         let build = Build::new(attack.source(), defense, 0xb11d);
-        let outcome = campaign(&attack, &build, 0xfeed);
+        let outcome = run_trial(&attack, &build, 0xfeed).outcome;
         let note = match (&outcome, defense) {
             (AttackOutcome::Success(_), DefenseKind::Canary) => {
                 "  <- non-linear hop skips the canary"

@@ -24,16 +24,19 @@ fn test_plan() -> CampaignPlan {
             PlanCell {
                 attack: "listing1-dop".into(),
                 defense: DefenseKind::None,
+                pruned: false,
                 trials: 5,
             },
             PlanCell {
                 attack: "listing1-dop".into(),
                 defense: DefenseKind::Smokestack(SchemeKind::Aes10),
+                pruned: false,
                 trials: 4,
             },
             PlanCell {
                 attack: "synthetic-direct-stack".into(),
                 defense: DefenseKind::Canary,
+                pruned: false,
                 trials: 5,
             },
         ],
@@ -168,21 +171,25 @@ fn threaded_campaign_aggregates_are_jobs_invariant() {
             PlanCell {
                 attack: "xthread-shared-overflow".into(),
                 defense: DefenseKind::None,
+                pruned: false,
                 trials: 3,
             },
             PlanCell {
                 attack: "xthread-shared-overflow".into(),
                 defense: DefenseKind::Smokestack(SchemeKind::Aes10),
+                pruned: false,
                 trials: 2,
             },
             PlanCell {
                 attack: "xthread-toctou-race".into(),
                 defense: DefenseKind::None,
+                pruned: false,
                 trials: 3,
             },
             PlanCell {
                 attack: "xthread-toctou-race".into(),
                 defense: DefenseKind::Smokestack(SchemeKind::Aes10),
+                pruned: false,
                 trials: 2,
             },
         ],
@@ -227,11 +234,13 @@ fn interval_checked_matrix_over_real_trials() {
             PlanCell {
                 attack: "listing1-dop".into(),
                 defense: DefenseKind::None,
+                pruned: false,
                 trials: 6,
             },
             PlanCell {
                 attack: "listing1-dop".into(),
                 defense: DefenseKind::Smokestack(SchemeKind::Aes10),
+                pruned: false,
                 trials: 6,
             },
         ],
@@ -255,6 +264,46 @@ fn interval_checked_matrix_over_real_trials() {
     ];
     let violations = check(&stats, &bounds);
     assert!(violations.is_empty(), "{violations:?}");
+}
+
+#[test]
+fn pruned_cells_carry_their_fleet_label() {
+    // A plan-file cell may name a serve fleet's `+prune` variant; its
+    // records and aggregated row carry that label, while unpruned rows
+    // keep the plain defense label.
+    let plan = CampaignPlan::parse(
+        "name prune-labels\nseed 0x9\n\
+         cell listing1-dop smokestack/AES-10+prune 3\n\
+         cell listing1-dop smokestack/AES-10 2\n",
+    )
+    .unwrap();
+    assert!(plan.cells[0].pruned && !plan.cells[1].pruned);
+    let result = run_campaign(&plan, &EngineConfig::default(), &HashSet::new(), None).unwrap();
+    let labels: Vec<&str> = result.records.iter().map(|r| r.defense.as_str()).collect();
+    assert_eq!(
+        labels,
+        [
+            "smokestack/AES-10+prune",
+            "smokestack/AES-10+prune",
+            "smokestack/AES-10+prune",
+            "smokestack/AES-10",
+            "smokestack/AES-10",
+        ]
+    );
+    let stats = aggregate(&result.records);
+    assert_eq!(stats[0].defense, "smokestack/AES-10+prune");
+    assert_eq!(stats[1].defense, "smokestack/AES-10");
+
+    // Unpruned labels, and so the built-in plans' fingerprints, are
+    // unchanged by the `+prune` variant.
+    for (name, fingerprint) in [
+        ("smoke", 0x4ba6_7bf5_7d86_caa1_u64),
+        ("matrix", 0x15ce_f0cc_4f62_dad0),
+        ("matrix-synth", 0x7263_6eb2_fe7b_c785),
+    ] {
+        let plan = CampaignPlan::builtin(name).unwrap();
+        assert_eq!(plan.fingerprint(), fingerprint, "{name}");
+    }
 }
 
 #[test]
