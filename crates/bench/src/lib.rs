@@ -1,24 +1,26 @@
 //! # smokestack-bench
 //!
 //! The benchmark harness that regenerates every table and figure of the
-//! paper's evaluation:
+//! paper's evaluation. Everything runs as a subcommand of the one
+//! `bench` binary (`cargo run --release -p smokestack-bench --bin bench
+//! -- <command>`):
 //!
-//! | artifact | binary | data |
-//! |----------|--------|------|
-//! | Table I (RNG source rates) | `table1` | [`table1_rows`] |
-//! | Figure 3 (% runtime overhead) | `figure3` | [`figure3_data`] |
-//! | Figure 4 (% memory overhead) | `figure4` | [`figure4_data`] |
+//! | artifact | command | data |
+//! |----------|---------|------|
+//! | Table I (RNG source rates) | `bench table1` | [`table1_rows`] |
+//! | Figure 3 (% runtime overhead) | `bench figure3` | [`figure3_data`] |
+//! | Figure 4 (% memory overhead) | `bench figure4` | [`figure4_data`] |
+//! | §V-A cycle attribution (OProfile analog) | `bench oprofile` | [`profile_data`] |
+//! | Design ablations | `bench ablations` | [`pbox_ablation`], [`table_len_sweep`], [`guard_ablation`] |
+//! | One workload's telemetry profile | `bench profile <workload> [scheme] [seed]` | [`profile_workload`] |
+//! | Interpreter vs bytecode, `BENCH_baseline.json` pin | `bench backends` | [`BASELINE_SCHEMA`] |
+//! | Campaign engine scaling | `bench scaling` | `smokestack_campaign::run_campaign` |
 //! | §V-C penetration tests | `campaign --plan full --jobs 2 [--deny-regressions]` | `smokestack_campaign::full_bounds` |
 //!
 //! Hand-rolled benches (`cargo bench`, see [`harness`]) additionally
 //! measure host wall-clock for the RNG sources, the permutation engine,
 //! baseline-vs-hardened VM execution, and the flight recorder's
 //! enabled-vs-disabled overhead.
-//!
-//! The `profile` binary captures a full telemetry profile (JSONL event
-//! trace, metrics registry, collapsed stacks) of any workload; the
-//! `oprofile` binary renders the §V-A per-function cycle attribution
-//! from the same live data.
 
 #![warn(missing_docs)]
 
@@ -27,9 +29,47 @@ pub mod harness;
 use smokestack_core::{harden, SmokestackConfig};
 use smokestack_defenses::DefenseKind;
 use smokestack_srng::SchemeKind;
-use smokestack_telemetry::{FunctionCycles, RecorderConfig, SharedRecorder};
+use smokestack_telemetry::{
+    Column, FunctionCycles, Kind, RecorderConfig, Schema, SharedRecorder, Ty,
+};
 use smokestack_vm::{Executor, RunOutcome, ScriptedInput};
 use smokestack_workloads::{all as all_workloads, Workload, WorkloadClass};
+
+/// TRNG seed for the deterministic cycle measurement (any fixed value
+/// works; it is recorded in the pin for reproduction).
+pub const TRNG_SEED: u64 = 0xbe9c;
+
+/// The `BENCH_baseline.json` schema written and checked by `bench
+/// backends`: one row per workload. Every deterministic column is
+/// compared exactly; the wall-clock columns are written, never
+/// compared.
+pub static BASELINE_SCHEMA: Schema = Schema {
+    id: "smokestack-bench/1",
+    header: &[
+        Column("scheme", Ty::Str, Kind::Exact),
+        Column("trng_seed", Ty::Uint, Kind::Exact),
+    ],
+    rows: "workloads",
+    columns: &[
+        Column("name", Ty::Str, Kind::Key),
+        Column("class", Ty::Str, Kind::Exact),
+        Column("decicycles", Ty::Uint, Kind::Exact),
+        Column("base_decicycles", Ty::Uint, Kind::Exact),
+        Column("overhead", Ty::Fixed(3), Kind::Exact),
+        Column("insts", Ty::Uint, Kind::Exact),
+        Column("interp_ns", Ty::Fixed(1), Kind::Info),
+        Column("bytecode_ns", Ty::Fixed(1), Kind::Info),
+        Column("traced_ns", Ty::Fixed(1), Kind::Info),
+        Column("tracer_ratio", Ty::Fixed(3), Kind::Info),
+        Column("speedup", Ty::Fixed(2), Kind::Info),
+    ],
+};
+
+/// Whether a pinned row belongs to the workload set `filter` selects
+/// (every workload when it is empty).
+pub fn workload_scope(filter: &[String]) -> impl Fn(&[&str]) -> bool + '_ {
+    move |key| filter.is_empty() || filter.iter().any(|f| key == [f.as_str()])
+}
 
 /// One row of Table I.
 #[derive(Debug, Clone, PartialEq)]

@@ -4,15 +4,17 @@
 //! ```text
 //! serve --plan smoke --jobs 4 --stats
 //! serve --plan load --json BENCH_serve.json
-//! serve --plan smoke --check BENCH_serve.json --tolerance 10
+//! serve --plan smoke --check BENCH_serve.json
 //! serve --plan my-plan.txt --duration 30 --out poisoned.jsonl
 //! ```
 //!
 //! `--json` writes (or merges into) a `BENCH_serve.json`-style pin:
 //! rows for the current plan replace any stale rows of the same plan,
-//! rows of other plans are kept. `--check` re-measures and compares the
-//! deterministic columns against such a pin, failing on latency drift
-//! beyond `--tolerance` or on any compromise-rate regression.
+//! rows of other plans are kept, and an existing file that does not
+//! parse is an error. `--check` re-measures and compares against such a
+//! pin, failing on any change to a deterministic column, any
+//! compromise-rate regression, and any missing or unmeasured row of the
+//! plan.
 
 use std::fs::File;
 use std::io::Read as _;
@@ -20,8 +22,8 @@ use std::process::ExitCode;
 
 use smokestack_campaign::RecordSink;
 use smokestack_serve::{
-    check_rows, parse_rows, report_rows, rows_to_json, run_serve, schedule_digest, serve_registry,
-    ServeConfig, ServePlan,
+    plan_scope, report_pin, run_serve, schedule_digest, serve_registry, ServeConfig, ServePlan,
+    PIN_SCHEMA,
 };
 use smokestack_telemetry::{render_prometheus, SharedJsonlSink};
 
@@ -36,14 +38,13 @@ struct Args {
     stats: bool,
     json: Option<String>,
     check: Option<String>,
-    tolerance: f64,
     out: Option<String>,
     dump_schedule: Option<u64>,
 }
 
 const USAGE: &str = "usage: serve --plan <name|file> [--jobs N] [--duration SECS] \
 [--poison-rate PPM] [--master-seed S] [--max-requests N] [--tenants N] [--stats] \
-[--json FILE] [--check FILE] [--tolerance PCT] [--out FILE] [--dump-schedule N]
+[--json FILE] [--check FILE] [--out FILE] [--dump-schedule N]
 
 plans: smoke | load | path to a plan file
   --jobs N           worker threads (default 1)
@@ -55,10 +56,9 @@ plans: smoke | load | path to a plan file
   --tenants N        override the plan's resident tenant count
   --stats            print the serve metrics as Prometheus text exposition
   --json FILE        write bench rows to FILE (merging with other plans' rows)
-  --check FILE       compare deterministic columns against FILE; exit 1 on
-                     latency drift beyond --tolerance or any compromise-rate
-                     regression
-  --tolerance PCT    allowed decicycle-percentile drift for --check (default 5)
+  --check FILE       compare against the pinned rows in FILE; exit 1 on any
+                     change to a deterministic column, any compromise-rate
+                     regression, or a missing or unmeasured row of the plan
   --out FILE         journal one JSON line per poisoned request to FILE
   --dump-schedule N  print the first N scheduled requests and exit";
 
@@ -74,7 +74,6 @@ fn parse_args() -> Result<Args, String> {
         stats: false,
         json: None,
         check: None,
-        tolerance: 5.0,
         out: None,
         dump_schedule: None,
     };
@@ -128,11 +127,6 @@ fn parse_args() -> Result<Args, String> {
             "--stats" => args.stats = true,
             "--json" => args.json = Some(value("--json")?),
             "--check" => args.check = Some(value("--check")?),
-            "--tolerance" => {
-                args.tolerance = value("--tolerance")?
-                    .parse()
-                    .map_err(|_| "bad --tolerance value".to_string())?;
-            }
             "--out" => args.out = Some(value("--out")?),
             "--dump-schedule" => {
                 args.dump_schedule = Some(
@@ -160,14 +154,6 @@ fn load_plan(spec: &str) -> Result<ServePlan, String> {
         .and_then(|mut f| f.read_to_string(&mut text))
         .map_err(|e| format!("cannot read plan `{spec}`: {e}"))?;
     ServePlan::parse(&text)
-}
-
-fn read_file(path: &str) -> Result<String, String> {
-    let mut text = String::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_string(&mut text))
-        .map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    Ok(text)
 }
 
 fn run() -> Result<bool, String> {
@@ -271,38 +257,27 @@ fn run() -> Result<bool, String> {
         print!("{}", render_prometheus(&serve_registry(&report)));
     }
 
-    let rows = report_rows(&report);
+    let pin = report_pin(&report);
 
     if let Some(path) = &args.json {
         if report.drained {
             return Err("refusing to pin a drained (partial) run with --json".to_string());
         }
-        // Merge: keep other plans' rows, replace this plan's.
-        let mut merged: Vec<_> = match File::open(path) {
-            Ok(_) => parse_rows(&read_file(path)?)
-                .into_iter()
-                .filter(|r| r.plan != report.plan)
-                .collect(),
-            Err(_) => Vec::new(),
-        };
-        merged.extend(rows.clone());
-        std::fs::write(path, rows_to_json(&merged))
-            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        eprintln!("pinned {} rows to {path}", merged.len());
+        let n = pin.write_merged(path, plan_scope(&report.plan))?;
+        eprintln!("pinned {n} rows to {path}");
     }
 
     if let Some(path) = &args.check {
         if report.drained {
             return Err("cannot --check a drained (partial) run".to_string());
         }
-        let baseline = parse_rows(&read_file(path)?);
-        match check_rows(&rows, &baseline, args.tolerance) {
-            Ok(n) => eprintln!(
-                "check: {n} (plan, fleet) rows within {}% of {path}",
-                args.tolerance
-            ),
+        match PIN_SCHEMA
+            .read(path)
+            .and_then(|pinned| pin.check(&pinned, plan_scope(&report.plan)))
+        {
+            Ok(n) => eprintln!("check: {n} (plan, fleet) rows match {path}"),
             Err(e) => {
-                eprintln!("CHECK FAILED: {e}");
+                eprintln!("CHECK FAILED:\n{e}");
                 return Ok(false);
             }
         }

@@ -25,7 +25,7 @@
 //! * [`report`] — per-fleet SLO percentiles (wall-clock *and*
 //!   deterministic decicycles), per-scheme compromise counts,
 //!   time-to-first-compromise survival curves, Prometheus exposition,
-//!   and the drift-gated `BENCH_serve.json` format.
+//!   and the `BENCH_serve.json` pin schema.
 //!
 //! The `serve` binary drives all of it from the command line.
 
@@ -41,7 +41,6 @@ pub use apps::{app_names, catalog, ServeApp};
 pub use engine::{run_serve, ServeConfig};
 pub use plan::{Fleet, ServePlan};
 pub use report::{
-    check_rows, parse_rows, report_rows, rows_to_json, serve_registry, BenchRow, FleetReport,
-    ServeReport, TTFC_BUDGETS,
+    plan_scope, report_pin, serve_registry, FleetReport, ServeReport, PIN_SCHEMA, TTFC_BUDGETS,
 };
 pub use traffic::{schedule_digest, Request};

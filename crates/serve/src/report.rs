@@ -1,11 +1,13 @@
 //! Serve-run aggregation: per-fleet SLO percentiles, compromise
 //! accounting, time-to-first-compromise curves, Prometheus exposition,
-//! and the drift-gated `BENCH_serve.json` row format.
+//! and the `BENCH_serve.json` pin schema.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use smokestack_telemetry::{MetricsRegistry, StreamingHistogram};
+use smokestack_telemetry::{
+    Column, Kind, MetricsRegistry, Pin, Schema, StreamingHistogram, Ty, Value,
+};
 
 /// Request budgets the time-to-first-compromise curve is sampled at
 /// (clipped to the plan's scheduled request count).
@@ -203,319 +205,103 @@ pub fn serve_registry(report: &ServeReport) -> MetricsRegistry {
     reg
 }
 
-/// One `BENCH_serve.json` row: everything pinned for a (plan, fleet)
-/// pair. The `deci_*` columns and the attack/outcome counts are
-/// deterministic (drift-gated by `--check`); the `wall_*` and
-/// throughput columns are measured on the writing machine and never
-/// checked.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BenchRow {
-    /// Plan name.
-    pub plan: String,
-    /// Fleet label.
-    pub fleet: String,
-    /// Master seed of the run.
-    pub master_seed: u64,
-    /// Tenants in this fleet.
-    pub tenants: u32,
-    /// Requests served across the whole run.
-    pub served: u64,
-    /// Benign requests this fleet served.
-    pub benign: u64,
-    /// Exploit attempts this fleet absorbed.
-    pub attacks: u64,
-    /// Attack outcome counts.
-    pub success: u64,
-    /// Attempts a defense terminated.
-    pub detected: u64,
-    /// Attempts that crashed the service.
-    pub crashed: u64,
-    /// Attempts that ran clean without the goal.
-    pub failed: u64,
-    /// Attempts aborted pre-commit.
-    pub aborted: u64,
-    /// Tenants compromised at least once.
-    pub compromised_tenants: u64,
-    /// Benign latency percentiles in deterministic decicycles.
-    pub deci_p50: u64,
-    /// 95th percentile.
-    pub deci_p95: u64,
-    /// 99th percentile.
-    pub deci_p99: u64,
-    /// 99.9th percentile.
-    pub deci_p999: u64,
-    /// Mean (rounded).
-    pub deci_mean: u64,
-    /// Benign requests served in the wake of an exploit attempt on
-    /// this fleet (the population of the `deci_attack_*` columns;
-    /// schedule-pinned, so compared exactly).
-    pub benign_under_attack: u64,
-    /// Latency-under-attack percentiles in deterministic decicycles.
-    pub deci_attack_p50: u64,
-    /// 95th percentile under attack.
-    pub deci_attack_p95: u64,
-    /// 99th percentile under attack.
-    pub deci_attack_p99: u64,
-    /// Mean under attack (rounded).
-    pub deci_attack_mean: u64,
-    /// Benign latency percentiles in wall nanoseconds (unchecked).
-    pub wall_p50_ns: u64,
-    /// 95th percentile wall ns (unchecked).
-    pub wall_p95_ns: u64,
-    /// 99th percentile wall ns (unchecked).
-    pub wall_p99_ns: u64,
-    /// 99.9th percentile wall ns (unchecked).
-    pub wall_p999_ns: u64,
-    /// Whole-run throughput on the writing machine (unchecked).
-    pub requests_per_sec: u64,
-    /// Time-to-first-compromise survival curve as
-    /// `budget:survival_ppm` pairs.
-    pub ttfc: String,
-}
+/// The `BENCH_serve.json` schema: one row per (plan, fleet). The
+/// schedule counts and `deci_*` columns are deterministic and compared
+/// exactly; `success` and `compromised_tenants` may fall but never
+/// rise; wall-clock, throughput, the other outcome counts and the
+/// time-to-first-compromise curve are measured on the writing machine
+/// or follow from the pinned columns, and are never compared.
+pub static PIN_SCHEMA: Schema = Schema {
+    id: "smokestack-serve/1",
+    header: &[],
+    rows: "rows",
+    columns: &[
+        Column("plan", Ty::Str, Kind::Key),
+        Column("fleet", Ty::Str, Kind::Key),
+        Column("master_seed", Ty::Uint, Kind::Exact),
+        Column("tenants", Ty::Uint, Kind::Exact),
+        Column("served", Ty::Uint, Kind::Exact),
+        Column("benign", Ty::Uint, Kind::Exact),
+        Column("attacks", Ty::Uint, Kind::Exact),
+        Column("success", Ty::Uint, Kind::NeverWorse),
+        Column("detected", Ty::Uint, Kind::Info),
+        Column("crashed", Ty::Uint, Kind::Info),
+        Column("failed", Ty::Uint, Kind::Info),
+        Column("aborted", Ty::Uint, Kind::Info),
+        Column("compromised_tenants", Ty::Uint, Kind::NeverWorse),
+        Column("deci_p50", Ty::Uint, Kind::Exact),
+        Column("deci_p95", Ty::Uint, Kind::Exact),
+        Column("deci_p99", Ty::Uint, Kind::Exact),
+        Column("deci_p999", Ty::Uint, Kind::Exact),
+        Column("deci_mean", Ty::Uint, Kind::Exact),
+        // Benign requests served in the wake of an exploit attempt on
+        // this fleet: the population of the `deci_attack_*` columns.
+        Column("benign_under_attack", Ty::Uint, Kind::Exact),
+        Column("deci_attack_p50", Ty::Uint, Kind::Exact),
+        Column("deci_attack_p95", Ty::Uint, Kind::Exact),
+        Column("deci_attack_p99", Ty::Uint, Kind::Exact),
+        Column("deci_attack_mean", Ty::Uint, Kind::Exact),
+        Column("wall_p50_ns", Ty::Uint, Kind::Info),
+        Column("wall_p95_ns", Ty::Uint, Kind::Info),
+        Column("wall_p99_ns", Ty::Uint, Kind::Info),
+        Column("wall_p999_ns", Ty::Uint, Kind::Info),
+        Column("requests_per_sec", Ty::Uint, Kind::Info),
+        // `budget:survival_ppm` pairs of the time-to-first-compromise
+        // curve.
+        Column("ttfc", Ty::Str, Kind::Info),
+    ],
+};
 
-/// Reduce a finished run to its bench rows (one per fleet).
-pub fn report_rows(report: &ServeReport) -> Vec<BenchRow> {
-    report
-        .fleets
-        .iter()
-        .map(|f| {
-            let ttfc = f
-                .ttfc_curve(report.scheduled)
-                .into_iter()
-                .map(|(b, s)| format!("{b}:{}", (s * 1_000_000.0).round() as u64))
-                .collect::<Vec<_>>()
-                .join(" ");
-            BenchRow {
-                plan: report.plan.clone(),
-                fleet: f.label.clone(),
-                master_seed: report.master_seed,
-                tenants: f.tenants,
-                served: report.served,
-                benign: f.benign,
-                attacks: f.attacks,
-                success: f.outcomes[0],
-                detected: f.outcomes[1],
-                crashed: f.outcomes[2],
-                failed: f.outcomes[3],
-                aborted: f.outcomes[4],
-                compromised_tenants: f.compromised_tenants(),
-                deci_p50: f.deci.p50(),
-                deci_p95: f.deci.p95(),
-                deci_p99: f.deci.p99(),
-                deci_p999: f.deci.p999(),
-                deci_mean: f.deci.mean().round() as u64,
-                benign_under_attack: f.deci_attack.count(),
-                deci_attack_p50: f.deci_attack.p50(),
-                deci_attack_p95: f.deci_attack.p95(),
-                deci_attack_p99: f.deci_attack.p99(),
-                deci_attack_mean: f.deci_attack.mean().round() as u64,
-                wall_p50_ns: f.wall_ns.p50(),
-                wall_p95_ns: f.wall_ns.p95(),
-                wall_p99_ns: f.wall_ns.p99(),
-                wall_p999_ns: f.wall_ns.p999(),
-                requests_per_sec: report.requests_per_sec().round() as u64,
-                ttfc,
-            }
-        })
-        .collect()
-}
-
-/// Serialize rows as the `BENCH_serve.json` file body.
-pub fn rows_to_json(rows: &[BenchRow]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"schema\": \"smokestack-serve/1\",");
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(s, "    {{");
-        let _ = writeln!(s, "      \"plan\": \"{}\",", r.plan);
-        let _ = writeln!(s, "      \"fleet\": \"{}\",", r.fleet);
-        let _ = writeln!(s, "      \"master_seed\": {},", r.master_seed);
-        let _ = writeln!(s, "      \"tenants\": {},", r.tenants);
-        let _ = writeln!(s, "      \"served\": {},", r.served);
-        let _ = writeln!(s, "      \"benign\": {},", r.benign);
-        let _ = writeln!(s, "      \"attacks\": {},", r.attacks);
-        let _ = writeln!(s, "      \"success\": {},", r.success);
-        let _ = writeln!(s, "      \"detected\": {},", r.detected);
-        let _ = writeln!(s, "      \"crashed\": {},", r.crashed);
-        let _ = writeln!(s, "      \"failed\": {},", r.failed);
-        let _ = writeln!(s, "      \"aborted\": {},", r.aborted);
-        let _ = writeln!(
-            s,
-            "      \"compromised_tenants\": {},",
-            r.compromised_tenants
-        );
-        let _ = writeln!(s, "      \"deci_p50\": {},", r.deci_p50);
-        let _ = writeln!(s, "      \"deci_p95\": {},", r.deci_p95);
-        let _ = writeln!(s, "      \"deci_p99\": {},", r.deci_p99);
-        let _ = writeln!(s, "      \"deci_p999\": {},", r.deci_p999);
-        let _ = writeln!(s, "      \"deci_mean\": {},", r.deci_mean);
-        let _ = writeln!(
-            s,
-            "      \"benign_under_attack\": {},",
-            r.benign_under_attack
-        );
-        let _ = writeln!(s, "      \"deci_attack_p50\": {},", r.deci_attack_p50);
-        let _ = writeln!(s, "      \"deci_attack_p95\": {},", r.deci_attack_p95);
-        let _ = writeln!(s, "      \"deci_attack_p99\": {},", r.deci_attack_p99);
-        let _ = writeln!(s, "      \"deci_attack_mean\": {},", r.deci_attack_mean);
-        let _ = writeln!(s, "      \"wall_p50_ns\": {},", r.wall_p50_ns);
-        let _ = writeln!(s, "      \"wall_p95_ns\": {},", r.wall_p95_ns);
-        let _ = writeln!(s, "      \"wall_p99_ns\": {},", r.wall_p99_ns);
-        let _ = writeln!(s, "      \"wall_p999_ns\": {},", r.wall_p999_ns);
-        let _ = writeln!(s, "      \"requests_per_sec\": {},", r.requests_per_sec);
-        let _ = writeln!(s, "      \"ttfc\": \"{}\"", r.ttfc);
-        let _ = writeln!(s, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
+/// Reduce a finished run to its pin: one row per fleet, in
+/// [`PIN_SCHEMA`].
+pub fn report_pin(report: &ServeReport) -> Pin {
+    let mut pin = Pin::new(&PIN_SCHEMA, Vec::new());
+    for f in &report.fleets {
+        let ttfc = f
+            .ttfc_curve(report.scheduled)
+            .into_iter()
+            .map(|(b, s)| format!("{b}:{}", (s * 1_000_000.0).round() as u64))
+            .collect::<Vec<_>>()
+            .join(" ");
+        pin.push(vec![
+            Value::Str(report.plan.clone()),
+            Value::Str(f.label.clone()),
+            Value::Uint(report.master_seed),
+            Value::Uint(u64::from(f.tenants)),
+            Value::Uint(report.served),
+            Value::Uint(f.benign),
+            Value::Uint(f.attacks),
+            Value::Uint(f.outcomes[0]),
+            Value::Uint(f.outcomes[1]),
+            Value::Uint(f.outcomes[2]),
+            Value::Uint(f.outcomes[3]),
+            Value::Uint(f.outcomes[4]),
+            Value::Uint(f.compromised_tenants()),
+            Value::Uint(f.deci.p50()),
+            Value::Uint(f.deci.p95()),
+            Value::Uint(f.deci.p99()),
+            Value::Uint(f.deci.p999()),
+            Value::Uint(f.deci.mean().round() as u64),
+            Value::Uint(f.deci_attack.count()),
+            Value::Uint(f.deci_attack.p50()),
+            Value::Uint(f.deci_attack.p95()),
+            Value::Uint(f.deci_attack.p99()),
+            Value::Uint(f.deci_attack.mean().round() as u64),
+            Value::Uint(f.wall_ns.p50()),
+            Value::Uint(f.wall_ns.p95()),
+            Value::Uint(f.wall_ns.p99()),
+            Value::Uint(f.wall_ns.p999()),
+            Value::Uint(report.requests_per_sec().round() as u64),
+            Value::Str(ttfc),
+        ]);
     }
-    s.push_str("  ]\n}\n");
-    s
+    pin
 }
 
-/// Parse rows from a file previously written by [`rows_to_json`]. Not
-/// a general JSON parser — it reads the line-per-field layout this
-/// crate emits, which is all `--check` ever compares.
-pub fn parse_rows(text: &str) -> Vec<BenchRow> {
-    let mut rows = Vec::new();
-    let mut fields: BTreeMap<String, String> = BTreeMap::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if line == "{" || line == "{{" {
-            fields.clear();
-            continue;
-        }
-        if line.starts_with('}') {
-            if let Some(row) = row_from_fields(&fields) {
-                rows.push(row);
-            }
-            fields.clear();
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix('"') {
-            if let Some((key, value)) = rest.split_once("\": ") {
-                fields.insert(key.to_string(), value.trim_matches('"').to_string());
-            }
-        }
-    }
-    rows
-}
-
-fn row_from_fields(f: &BTreeMap<String, String>) -> Option<BenchRow> {
-    let s = |k: &str| f.get(k).cloned();
-    let n = |k: &str| f.get(k).and_then(|v| v.parse::<u64>().ok());
-    Some(BenchRow {
-        plan: s("plan")?,
-        fleet: s("fleet")?,
-        master_seed: n("master_seed")?,
-        tenants: n("tenants")? as u32,
-        served: n("served")?,
-        benign: n("benign")?,
-        attacks: n("attacks")?,
-        success: n("success")?,
-        detected: n("detected")?,
-        crashed: n("crashed")?,
-        failed: n("failed")?,
-        aborted: n("aborted")?,
-        compromised_tenants: n("compromised_tenants")?,
-        deci_p50: n("deci_p50")?,
-        deci_p95: n("deci_p95")?,
-        deci_p99: n("deci_p99")?,
-        deci_p999: n("deci_p999")?,
-        deci_mean: n("deci_mean")?,
-        benign_under_attack: n("benign_under_attack")?,
-        deci_attack_p50: n("deci_attack_p50")?,
-        deci_attack_p95: n("deci_attack_p95")?,
-        deci_attack_p99: n("deci_attack_p99")?,
-        deci_attack_mean: n("deci_attack_mean")?,
-        wall_p50_ns: n("wall_p50_ns")?,
-        wall_p95_ns: n("wall_p95_ns")?,
-        wall_p99_ns: n("wall_p99_ns")?,
-        wall_p999_ns: n("wall_p999_ns")?,
-        requests_per_sec: n("requests_per_sec")?,
-        ttfc: s("ttfc")?,
-    })
-}
-
-/// Compare freshly measured rows against a pinned baseline:
-///
-/// * `deci_*` percentile columns must stay within `tolerance_pct` of
-///   the baseline (they are deterministic; the tolerance absorbs
-///   intentional cost-model evolution, mirroring `BENCH_baseline.json`);
-/// * benign/attack counts must match exactly (the schedule is pinned);
-/// * the per-fleet success count must not *exceed* the baseline — a
-///   compromise-rate regression fails regardless of tolerance.
-///
-/// Wall-clock and throughput columns are never compared.
-pub fn check_rows(
-    current: &[BenchRow],
-    baseline: &[BenchRow],
-    tolerance_pct: f64,
-) -> Result<usize, String> {
-    let mut compared = 0;
-    for row in current {
-        let Some(base) = baseline
-            .iter()
-            .find(|b| b.plan == row.plan && b.fleet == row.fleet)
-        else {
-            continue;
-        };
-        compared += 1;
-        for (what, now, then) in [
-            ("served", row.served, base.served),
-            ("benign", row.benign, base.benign),
-            ("attacks", row.attacks, base.attacks),
-            (
-                "benign_under_attack",
-                row.benign_under_attack,
-                base.benign_under_attack,
-            ),
-        ] {
-            if now != then {
-                return Err(format!(
-                    "{}/{}: {what} changed {then} -> {now} (schedule no longer pinned)",
-                    row.plan, row.fleet
-                ));
-            }
-        }
-        if row.success > base.success {
-            return Err(format!(
-                "{}/{}: compromise-rate regression: {} successes vs {} pinned",
-                row.plan, row.fleet, row.success, base.success
-            ));
-        }
-        for (what, now, then) in [
-            ("deci_p50", row.deci_p50, base.deci_p50),
-            ("deci_p95", row.deci_p95, base.deci_p95),
-            ("deci_p99", row.deci_p99, base.deci_p99),
-            ("deci_p999", row.deci_p999, base.deci_p999),
-            ("deci_mean", row.deci_mean, base.deci_mean),
-            ("deci_attack_p50", row.deci_attack_p50, base.deci_attack_p50),
-            ("deci_attack_p95", row.deci_attack_p95, base.deci_attack_p95),
-            ("deci_attack_p99", row.deci_attack_p99, base.deci_attack_p99),
-            (
-                "deci_attack_mean",
-                row.deci_attack_mean,
-                base.deci_attack_mean,
-            ),
-        ] {
-            if then == 0 && now == 0 {
-                continue;
-            }
-            let drift = (now as f64 - then as f64).abs() / (then.max(1)) as f64 * 100.0;
-            if drift > tolerance_pct {
-                return Err(format!(
-                    "{}/{}: {what} drifted {drift:.2}% (baseline {then}, now {now}, \
-                     tolerance {tolerance_pct}%)",
-                    row.plan, row.fleet
-                ));
-            }
-        }
-    }
-    if compared == 0 {
-        return Err(
-            "no measured (plan, fleet) row appears in the baseline — nothing compared".into(),
-        );
-    }
-    Ok(compared)
+/// Whether a pinned row belongs to `plan`: the rows a run of `plan`
+/// must reproduce, and the rows its `--json` replaces.
+pub fn plan_scope(plan: &str) -> impl Fn(&[&str]) -> bool + '_ {
+    move |key| key.first() == Some(&plan)
 }
 
 #[cfg(test)]
@@ -593,35 +379,59 @@ mod tests {
     }
 
     #[test]
-    fn bench_rows_roundtrip_through_json() {
-        let report = sample_report();
-        let rows = report_rows(&report);
-        assert_eq!(rows.len(), 2);
-        let text = rows_to_json(&rows);
-        let parsed = parse_rows(&text);
-        assert_eq!(parsed, rows);
+    fn pin_round_trips_through_json() {
+        let pin = report_pin(&sample_report());
+        assert_eq!(pin.rows().len(), 2);
+        let text = pin.render();
+        assert_eq!(PIN_SCHEMA.parse(&text).unwrap().render(), text);
+    }
+
+    /// A pin holding only the rows of `pin` at `rows`.
+    fn only(pin: &Pin, rows: &[usize]) -> Pin {
+        let mut out = Pin::new(&PIN_SCHEMA, Vec::new());
+        for &i in rows {
+            out.push(pin.rows()[i].clone());
+        }
+        out
     }
 
     #[test]
-    fn check_rows_gates_drift_and_compromise_regressions() {
-        let rows = report_rows(&sample_report());
+    fn pin_check_gates_exact_columns_and_compromise_regressions() {
+        let pin = report_pin(&sample_report());
+        let all = |_: &[&str]| true;
         // Identical rows pass.
-        assert_eq!(check_rows(&rows, &rows, 5.0), Ok(2));
-        // A compromise regression fails even inside tolerance.
-        let mut worse = rows.clone();
-        worse[1].success += 1;
-        let err = check_rows(&worse, &rows, 5.0).unwrap_err();
+        assert_eq!(pin.check(&pin, all), Ok(2));
+        // A compromise regression fails.
+        let mut worse = pin.clone();
+        *worse.get_mut(1, "success") = Value::Uint(1);
+        let err = worse.check(&pin, all).unwrap_err();
         assert!(err.contains("compromise-rate regression"), "{err}");
-        // Latency drift beyond tolerance fails.
-        let mut slow = rows.clone();
-        slow[0].deci_p99 = slow[0].deci_p99 * 2 + 100;
-        assert!(check_rows(&slow, &rows, 5.0).is_err());
-        // A changed schedule fails exactly.
-        let mut resched = rows.clone();
-        resched[0].benign += 1;
-        assert!(check_rows(&resched, &rows, 5.0).is_err());
+        // ...and fewer compromises pass.
+        assert_eq!(pin.check(&worse, all), Ok(2));
+        // Any change to a deterministic latency column fails.
+        let mut slow = pin.clone();
+        *slow.get_mut(0, "deci_p99") = Value::Uint(81);
+        assert!(slow.check(&pin, all).unwrap_err().contains("deci_p99"));
+        // A changed schedule fails.
+        let mut resched = pin.clone();
+        *resched.get_mut(0, "benign") = Value::Uint(91);
+        assert!(resched.check(&pin, all).is_err());
+        // Wall-clock columns are never compared.
+        let mut fast = pin.clone();
+        *fast.get_mut(0, "wall_p50_ns") = Value::Uint(1);
+        assert_eq!(fast.check(&pin, all), Ok(2));
         // Nothing in common -> error, not a silent pass.
-        assert!(check_rows(&rows[..1], &rows[1..], 5.0).is_err());
+        assert!(only(&pin, &[0]).check(&only(&pin, &[1]), all).is_err());
+        // A pinned row of the measured plan that was not measured fails;
+        // one outside the plan's scope does not matter.
+        let err = only(&pin, &[0])
+            .check(&pin, plan_scope("sample"))
+            .unwrap_err();
+        assert!(
+            err.contains("sample/smokestack/AES-10: pinned row was not measured"),
+            "{err}"
+        );
+        assert_eq!(only(&pin, &[0]).check(&pin, plan_scope("other")), Ok(1));
     }
 
     #[test]

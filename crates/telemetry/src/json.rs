@@ -10,6 +10,9 @@ use std::collections::BTreeMap;
 pub enum JsonValue {
     /// Unsigned integer (all telemetry numbers are u64).
     Num(u64),
+    /// Number with a fraction or exponent (BENCH pin ratios and
+    /// wall-clock columns).
+    Float(f64),
     /// String.
     Str(String),
     /// Boolean.
@@ -69,12 +72,20 @@ impl JsonValue {
     }
 }
 
+/// Deepest array/object nesting [`parse_value`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let a short
+/// hostile document (say 100,000 `[`) overflow the stack; every
+/// document this workspace writes nests at most a handful of levels.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse one complete JSON document (nested objects and arrays
-/// allowed). Trailing non-whitespace fails the parse. Numbers are
-/// unsigned integers only — everything the crate's writers emit.
+/// allowed, at most [`MAX_DEPTH`] levels). Trailing non-whitespace,
+/// missing or stray separators fail the parse. Unsigned integers parse
+/// as [`JsonValue::Num`]; numbers with a fraction or exponent as
+/// [`JsonValue::Float`].
 pub fn parse_value(text: &str) -> Option<JsonValue> {
     let mut chars = text.trim().chars().peekable();
-    let v = parse_any(&mut chars)?;
+    let v = parse_any(&mut chars, 0)?;
     skip_ws(&mut chars);
     if chars.next().is_some() {
         return None;
@@ -82,59 +93,65 @@ pub fn parse_value(text: &str) -> Option<JsonValue> {
     Some(v)
 }
 
-fn parse_any(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<JsonValue> {
+type Chars<'a> = std::iter::Peekable<std::str::Chars<'a>>;
+
+/// Parse the comma-separated items of an array or object up to
+/// `close`, calling `item` once per item: an empty list, or items
+/// separated by exactly one comma each.
+fn parse_items(
+    chars: &mut Chars<'_>,
+    close: char,
+    mut item: impl FnMut(&mut Chars<'_>) -> Option<()>,
+) -> Option<()> {
+    skip_ws(chars);
+    if chars.peek() == Some(&close) {
+        chars.next();
+        return Some(());
+    }
+    loop {
+        item(chars)?;
+        skip_ws(chars);
+        match chars.next()? {
+            ',' => {}
+            c if c == close => return Some(()),
+            _ => return None,
+        }
+    }
+}
+
+fn parse_any(chars: &mut Chars<'_>, depth: usize) -> Option<JsonValue> {
     skip_ws(chars);
     match chars.peek()? {
         '"' => Some(JsonValue::Str(parse_string(chars)?)),
+        '{' | '[' if depth >= MAX_DEPTH => None,
         '{' => {
             chars.next();
             let mut map = BTreeMap::new();
-            loop {
+            parse_items(chars, '}', |chars| {
                 skip_ws(chars);
-                match chars.peek()? {
-                    '}' => {
-                        chars.next();
-                        break;
-                    }
-                    ',' => {
-                        chars.next();
-                        continue;
-                    }
-                    _ => {}
-                }
                 let key = parse_string(chars)?;
                 skip_ws(chars);
                 if chars.next()? != ':' {
                     return None;
                 }
-                map.insert(key, parse_any(chars)?);
-            }
+                map.insert(key, parse_any(chars, depth + 1)?);
+                Some(())
+            })?;
             Some(JsonValue::Obj(map))
         }
         '[' => {
             chars.next();
             let mut items = Vec::new();
-            loop {
-                skip_ws(chars);
-                match chars.peek()? {
-                    ']' => {
-                        chars.next();
-                        break;
-                    }
-                    ',' => {
-                        chars.next();
-                        continue;
-                    }
-                    _ => {}
-                }
-                items.push(parse_any(chars)?);
-            }
+            parse_items(chars, ']', |chars| {
+                items.push(parse_any(chars, depth + 1)?);
+                Some(())
+            })?;
             Some(JsonValue::Arr(items))
         }
         't' | 'f' | 'n' => {
             let mut word = String::new();
             while matches!(chars.peek(), Some(c) if c.is_ascii_alphabetic()) {
-                word.push(chars.next().unwrap());
+                word.push(chars.next()?);
             }
             match word.as_str() {
                 "true" => Some(JsonValue::Bool(true)),
@@ -143,19 +160,21 @@ fn parse_any(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<Jso
                 _ => None,
             }
         }
-        c if c.is_ascii_digit() => {
-            let mut n: u64 = 0;
-            while let Some(c) = chars.peek() {
-                if let Some(d) = c.to_digit(10) {
-                    n = n.checked_mul(10)?.checked_add(d as u64)?;
-                    chars.next();
-                } else {
-                    break;
-                }
-            }
-            Some(JsonValue::Num(n))
-        }
+        c if c.is_ascii_digit() => parse_number(chars),
         _ => None,
+    }
+}
+
+/// An unsigned integer, or — with a fraction and/or exponent — a float.
+fn parse_number(chars: &mut Chars<'_>) -> Option<JsonValue> {
+    let mut text = String::new();
+    while let Some(c) = chars.next_if(|c| c.is_ascii_digit() || "+-.eE".contains(*c)) {
+        text.push(c);
+    }
+    if text.contains(['.', 'e', 'E']) {
+        text.parse().ok().map(JsonValue::Float)
+    } else {
+        text.parse().ok().map(JsonValue::Num)
     }
 }
 
@@ -179,72 +198,25 @@ pub fn push_json_str(out: &mut String, s: &str) {
 }
 
 /// Parse a flat JSON object (`{"k":v,...}` with number/string/bool
-/// values, no nesting) into a key→value map. Returns `None` on any
-/// syntax the sinks never emit.
+/// values, no nesting and no `null`) into a key→value map — the
+/// one-object-per-line records the JSONL writers emit. Returns `None`
+/// on anything else.
 pub fn parse_flat_object(line: &str) -> Option<BTreeMap<String, JsonValue>> {
-    let mut chars = line.trim().chars().peekable();
-    let mut map = BTreeMap::new();
-    if chars.next()? != '{' {
+    let JsonValue::Obj(map) = parse_value(line)? else {
         return None;
-    }
-    loop {
-        skip_ws(&mut chars);
-        match chars.peek()? {
-            '}' => {
-                chars.next();
-                break;
-            }
-            ',' => {
-                chars.next();
-                continue;
-            }
-            _ => {}
-        }
-        let key = parse_string(&mut chars)?;
-        skip_ws(&mut chars);
-        if chars.next()? != ':' {
-            return None;
-        }
-        skip_ws(&mut chars);
-        let val = match chars.peek()? {
-            '"' => JsonValue::Str(parse_string(&mut chars)?),
-            't' | 'f' => {
-                let mut word = String::new();
-                while matches!(chars.peek(), Some(c) if c.is_ascii_alphabetic()) {
-                    word.push(chars.next().unwrap());
-                }
-                match word.as_str() {
-                    "true" => JsonValue::Bool(true),
-                    "false" => JsonValue::Bool(false),
-                    _ => return None,
-                }
-            }
-            c if c.is_ascii_digit() => {
-                let mut n: u64 = 0;
-                while let Some(c) = chars.peek() {
-                    if let Some(d) = c.to_digit(10) {
-                        n = n.checked_mul(10)?.checked_add(d as u64)?;
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                JsonValue::Num(n)
-            }
-            _ => return None,
-        };
-        map.insert(key, val);
-    }
-    Some(map)
+    };
+    let flat =
+        |v: &JsonValue| !matches!(v, JsonValue::Null | JsonValue::Arr(_) | JsonValue::Obj(_));
+    map.values().all(flat).then_some(map)
 }
 
-fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
+fn skip_ws(chars: &mut Chars<'_>) {
     while matches!(chars.peek(), Some(c) if c.is_whitespace()) {
         chars.next();
     }
 }
 
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<String> {
+fn parse_string(chars: &mut Chars<'_>) -> Option<String> {
     if chars.next()? != '"' {
         return None;
     }
@@ -322,5 +294,55 @@ mod tests {
         assert!(parse_value("{\"a\":1} extra").is_none());
         assert!(parse_value("[1,").is_none());
         assert!(parse_value("{\"a\":nope}").is_none());
+    }
+
+    #[test]
+    fn fractions_parse_as_floats_and_integers_stay_integers() {
+        let v = parse_value(r#"{"x":1.5,"y":2,"z":[0.125,1e3,2.5E-1]}"#).unwrap();
+        assert_eq!(v.get("x"), Some(&JsonValue::Float(1.5)));
+        assert_eq!(v.get("y"), Some(&JsonValue::Num(2)));
+        let z = v.get("z").unwrap().as_arr().unwrap();
+        let floats = [0.125, 1000.0, 0.25].map(JsonValue::Float);
+        assert_eq!(z, floats);
+        for bad in ["1e", "1e+", "1.2.3", "1-2", "[.5]"] {
+            assert!(parse_value(bad).is_none(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn missing_and_stray_separators_are_rejected() {
+        for bad in [
+            r#"{"a":1 "b":2}"#,
+            r#"{,"a":1}"#,
+            r#"{"a":1,}"#,
+            r#"{"a":1,,"b":2}"#,
+            "[1 2]",
+            "[,1]",
+            "[1,]",
+            "[,]",
+        ] {
+            assert!(parse_value(bad).is_none(), "{bad}");
+        }
+        assert!(parse_value(r#"{ "a" : 1 , "b" : [ 1 , 2 ] }"#).is_some());
+    }
+
+    #[test]
+    fn nesting_is_capped_without_recursing_past_the_cap() {
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse_value(&deep(MAX_DEPTH)).is_some());
+        assert!(parse_value(&deep(MAX_DEPTH + 1)).is_none());
+        // Far past the cap: rejected, not a stack overflow.
+        assert!(parse_value(&"[".repeat(100_000)).is_none());
+        assert!(parse_value(&r#"{"a":"#.repeat(100_000)).is_none());
+    }
+
+    #[test]
+    fn flat_objects_reject_nesting_null_and_trailing_text() {
+        assert!(parse_flat_object(r#"{"a":[1]}"#).is_none());
+        assert!(parse_flat_object(r#"{"a":{"b":1}}"#).is_none());
+        assert!(parse_flat_object(r#"{"a":null}"#).is_none());
+        assert!(parse_flat_object(r#"{"a":1} extra"#).is_none());
+        assert!(parse_flat_object("[1]").is_none());
+        assert_eq!(parse_flat_object("{}"), Some(BTreeMap::new()));
     }
 }

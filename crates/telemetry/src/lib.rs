@@ -43,6 +43,7 @@ pub mod histogram;
 pub mod incident;
 pub mod json;
 pub mod metrics;
+pub mod pin;
 pub mod prometheus;
 pub mod record;
 pub mod recorder;
@@ -53,6 +54,7 @@ pub use event::{Event, GuardKind, TracedEvent};
 pub use histogram::StreamingHistogram;
 pub use incident::{FaultAccess, FrameSlot, IncidentReport, INCIDENT_SCHEMA};
 pub use metrics::{chi_squared_uniform, FreqTable, MetricsRegistry};
+pub use pin::{Column, Kind, Pin, Schema, Ty, Value};
 pub use prometheus::render_prometheus;
 pub use record::{CompactRecord, RecordKind, RecordRing};
 pub use recorder::{FlightRecorder, RecorderConfig, RecorderStats, SharedRecorder};

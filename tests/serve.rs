@@ -9,9 +9,10 @@ use smokestack_core::{harden, SmokestackConfig};
 use smokestack_defenses::DefenseKind;
 use smokestack_minic::compile;
 use smokestack_serve::{
-    check_rows, report_rows, run_serve, schedule_digest, Fleet, ServeConfig, ServePlan,
+    plan_scope, report_pin, run_serve, schedule_digest, Fleet, ServeConfig, ServePlan, PIN_SCHEMA,
 };
 use smokestack_srng::SchemeKind;
+use smokestack_telemetry::Value;
 use smokestack_vm::{layout, Executor, FnInput, MemConfig, Memory, ScriptedInput};
 
 /// A two-fleet, two-app plan small enough for debug-profile CI but
@@ -133,14 +134,21 @@ fn duration_drain_cuts_the_schedule_short() {
 fn bench_rows_self_check() {
     let plan = small_plan();
     let report = run_serve(&plan, &ServeConfig::default(), None).unwrap();
-    let rows = report_rows(&report);
-    assert_eq!(rows.len(), plan.fleets.len());
-    // A report always passes a check against its own rows, and a
-    // poisoned-latency forgery fails it.
-    assert_eq!(check_rows(&rows, &rows, 1.0), Ok(rows.len()));
-    let mut forged = rows.clone();
-    forged[0].deci_p50 = forged[0].deci_p50 * 3 + 1_000;
-    assert!(check_rows(&forged, &rows, 1.0).is_err());
+    let pin = report_pin(&report);
+    assert_eq!(pin.rows().len(), plan.fleets.len());
+    let scope = plan_scope(&plan.name);
+    // A report always passes a check against its own rows, also after
+    // a round trip through the file format, and a poisoned-latency
+    // forgery fails it.
+    assert_eq!(pin.check(&pin, &scope), Ok(pin.rows().len()));
+    let reread = PIN_SCHEMA.parse(&pin.render()).unwrap();
+    assert_eq!(pin.check(&reread, &scope), Ok(pin.rows().len()));
+    let mut forged = pin.clone();
+    let Value::Uint(p50) = *forged.get_mut(0, "deci_p50") else {
+        panic!("deci_p50 is an integer column");
+    };
+    *forged.get_mut(0, "deci_p50") = Value::Uint(p50 * 3 + 1_000);
+    assert!(forged.check(&pin, &scope).is_err());
 }
 
 /// First byte offset at which two equally long memory ranges differ.
