@@ -30,7 +30,7 @@ pub mod synthetic;
 pub mod wireshark;
 pub mod xthread;
 
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -99,6 +99,9 @@ pub struct Build {
     /// The VM session: module, scheme, optional flight recorder,
     /// and the shared compiled bytecode image.
     executor: Executor,
+    /// The same program built without defenses, compiled on first use
+    /// (see [`Build::unprotected_twin`]).
+    twin: OnceCell<Box<Build>>,
 }
 
 impl Build {
@@ -153,6 +156,7 @@ impl Build {
             defense,
             deployment,
             build_seed,
+            twin: OnceCell::new(),
         }
     }
 
@@ -202,6 +206,21 @@ impl Build {
             stack_base_offset: self.run_offset(run_seed),
             ..self.executor.base_config()
         }
+    }
+
+    /// The program built from `src` with [`DefenseKind::None`] under this
+    /// build's seed: the attacker's static knowledge of a layout that a
+    /// defense hides. Compiled, verified and lowered once per build and
+    /// reused by every later attempt; `src` must be the source this
+    /// build was deployed from. Its layout does not depend on the run
+    /// seed, so sharing it across attempts changes no outcome.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`Build::new`].
+    pub fn unprotected_twin(&self, src: &str) -> &Build {
+        self.twin
+            .get_or_init(|| Box::new(Build::new(src, DefenseKind::None, self.build_seed)))
     }
 
     /// A fresh VM for one run, sharing the build's compiled image.

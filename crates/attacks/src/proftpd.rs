@@ -18,7 +18,6 @@
 //! under every RNG scheme, while all the static schemes fall to a
 //! single disclosure probe.
 
-use smokestack_defenses::DefenseKind;
 use smokestack_vm::{FnInput, Memory};
 
 use crate::intel::{probe, scan_stack};
@@ -119,8 +118,8 @@ impl Attack for ProftpdAttack {
                 // Smokestack build: only the unprotected layout is
                 // statically knowable; the sweep will mismatch and the
                 // guard will catch it.
-                let base = Build::new(SOURCE, DefenseKind::None, build.build_seed);
-                let intel = probe(&base, run_seed ^ 0xf7bd, vec![0u64.to_le_bytes().to_vec()]);
+                let base = build.unprotected_twin(SOURCE);
+                let intel = probe(base, run_seed ^ 0xf7bd, vec![0u64.to_le_bytes().to_vec()]);
                 let fmt = intel.addr_of("sreplace", "fmt").expect("baseline probe");
                 (
                     intel.addr_of("sreplace", "tag").expect("probe") as i64 - fmt as i64,
@@ -202,6 +201,7 @@ impl Attack for ProftpdAttack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smokestack_defenses::DefenseKind;
 
     #[test]
     fn benign_run_leaks_nothing() {

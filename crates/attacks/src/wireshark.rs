@@ -17,7 +17,6 @@
 //! stopped this attack by detecting the violations when the overflow
 //! corrupted unintended data like the Smokestack function identifier").
 
-use smokestack_defenses::DefenseKind;
 use smokestack_vm::{FnInput, Memory};
 
 use crate::intel::{probe, scan_stack};
@@ -93,8 +92,8 @@ impl Attack for WiresharkAttack {
         let (d_tag, d_cell, d_cmd, d_arg) = match offsets {
             Some(o) => o,
             None => {
-                let base = Build::new(SOURCE, DefenseKind::None, build.build_seed);
-                let intel = probe(&base, run_seed ^ 0x77a9, vec![0u64.to_le_bytes().to_vec()]);
+                let base = build.unprotected_twin(SOURCE);
+                let intel = probe(base, run_seed ^ 0x77a9, vec![0u64.to_le_bytes().to_vec()]);
                 let pd = intel
                     .addr_of("dissect_record", "pd")
                     .expect("baseline probe");

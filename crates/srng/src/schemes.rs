@@ -119,8 +119,16 @@ impl RandomSource for XorShift64 {
 /// paper keeps them in registers via AES-NI); the universal call counter
 /// triggers a re-key from the true-random source every
 /// `rekey_interval` draws, mirroring §III-D.
+///
+/// The key schedule is expanded on the first draw after each (re)key,
+/// not when the key is drawn: a generator that never draws (every
+/// unprotected or canary VM is handed one) costs two TRNG fills, not
+/// an AES key expansion. The TRNG draw order, and so the keystream,
+/// is the same either way.
 pub struct Aes128Ctr<T: TrueRandom> {
-    aes: Aes128,
+    key: [u8; 16],
+    /// `key`'s expanded schedule; `None` until the first draw under it.
+    aes: Option<Aes128>,
     nonce: u128,
     counter: u32,
     rounds: u32,
@@ -148,7 +156,8 @@ impl<T: TrueRandom> Aes128Ctr<T> {
         let mut nonce_bytes = [0u8; 16];
         trng.fill(&mut nonce_bytes);
         Aes128Ctr {
-            aes: Aes128::new(key),
+            key,
+            aes: None,
             nonce: u128::from_le_bytes(nonce_bytes) & !0xffff_ffff,
             counter: 0,
             rounds,
@@ -176,7 +185,8 @@ impl<T: TrueRandom> Aes128Ctr<T> {
         self.trng.fill(&mut key);
         let mut nonce_bytes = [0u8; 16];
         self.trng.fill(&mut nonce_bytes);
-        self.aes = Aes128::new(key);
+        self.key = key;
+        self.aes = None;
         self.nonce = u128::from_le_bytes(nonce_bytes) & !0xffff_ffff;
         self.counter = 0;
         self.spare = None;
@@ -203,7 +213,9 @@ impl<T: TrueRandom> RandomSource for Aes128Ctr<T> {
         }
         let block_in = (self.nonce | self.counter as u128).to_le_bytes();
         self.counter = self.counter.wrapping_add(1);
-        let block = self.aes.encrypt_block_rounds(block_in, self.rounds);
+        let key = self.key;
+        let aes = self.aes.get_or_insert_with(|| Aes128::new(key));
+        let block = aes.encrypt_block_rounds(block_in, self.rounds);
         let lo = u64::from_le_bytes(block[..8].try_into().expect("8 bytes"));
         let hi = u64::from_le_bytes(block[8..].try_into().expect("8 bytes"));
         self.spare = Some(hi);
@@ -323,6 +335,57 @@ mod tests {
         let vals: Vec<u64> = (0..64).map(|_| g.next_u64()).collect();
         let unique: std::collections::HashSet<_> = vals.iter().collect();
         assert_eq!(unique.len(), vals.len());
+    }
+
+    /// Eager reference for [`Aes128Ctr`]: expands each key as soon as
+    /// it is drawn from the TRNG, in the same draw order.
+    fn eager_stream(rounds: u32, seed: u64, rekey_interval: u32, n: usize) -> Vec<u64> {
+        let mut trng = SeededTrng::new(seed);
+        let rekey = |trng: &mut SeededTrng| {
+            let mut key = [0u8; 16];
+            trng.fill(&mut key);
+            let mut nonce = [0u8; 16];
+            trng.fill(&mut nonce);
+            (Aes128::new(key), u128::from_le_bytes(nonce) & !0xffff_ffff)
+        };
+        let (mut aes, mut nonce) = rekey(&mut trng);
+        let (mut counter, mut draws) = (0u32, 0u32);
+        let mut out = Vec::with_capacity(n);
+        while out.len() < n {
+            draws += 1;
+            if draws >= rekey_interval {
+                draws = 0;
+                (aes, nonce) = rekey(&mut trng);
+                counter = 0;
+            }
+            let block = aes.encrypt_block_rounds((nonce | counter as u128).to_le_bytes(), rounds);
+            counter += 1;
+            out.push(u64::from_le_bytes(block[..8].try_into().unwrap()));
+            out.push(u64::from_le_bytes(block[8..].try_into().unwrap()));
+        }
+        out.truncate(n);
+        out
+    }
+
+    #[test]
+    fn lazy_key_schedule_matches_eager_keying_across_rekeys() {
+        for rounds in [1, 10] {
+            for seed in [3, 0x5eed] {
+                let mut lazy = Aes128Ctr::new(rounds, SeededTrng::new(seed)).with_rekey_interval(5);
+                let got: Vec<u64> = (0..101).map(|_| lazy.next_u64()).collect();
+                assert_eq!(got, eager_stream(rounds, seed, 5, 101), "rounds {rounds}");
+                // The default interval: no rekey inside the window.
+                let mut lazy = Aes128Ctr::new(rounds, SeededTrng::new(seed));
+                let got: Vec<u64> = (0..16).map(|_| lazy.next_u64()).collect();
+                let want = eager_stream(
+                    rounds,
+                    seed,
+                    Aes128Ctr::<SeededTrng>::DEFAULT_REKEY_INTERVAL,
+                    16,
+                );
+                assert_eq!(got, want, "rounds {rounds}");
+            }
+        }
     }
 
     #[test]

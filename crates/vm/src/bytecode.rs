@@ -194,17 +194,23 @@ pub(crate) struct BcFunc {
 }
 
 /// Module-level layout the interpreter computes per VM: global
-/// addresses, initializer blits, and segment high-water marks. The
+/// addresses, initializer images, and segment high-water marks. The
 /// layout depends only on the module (never on `VmConfig`), so it is
 /// computed once here and reused by both backends.
 ///
-/// Blits are split by segment: the rodata image (string literals, the
-/// P-BOX) is installed once per VM and survives every respawn, so a
-/// respawn walks only `data_blits`.
+/// Initializers are split by segment. The rodata image (string
+/// literals, the P-BOX) is built here once, as one immutable buffer,
+/// and every VM spawned from this layout maps that same buffer as its
+/// rodata segment — the analog of the OS sharing a library's `.rodata`
+/// pages between processes — so a spawn neither copies nor faults in
+/// the P-BOX. Data globals are writable and private to each VM: every
+/// spawn and respawn blits `data_blits`.
 #[derive(Debug, Default)]
 pub(crate) struct GlobalLayout {
     pub(crate) addrs: Vec<u64>,
-    pub(crate) rodata_blits: Vec<(u64, Vec<u8>)>,
+    /// Rodata bytes from `RODATA_BASE` to the end of the last
+    /// initialized read-only global; the segment reads as zeros beyond.
+    pub(crate) rodata: Arc<Vec<u8>>,
     pub(crate) data_blits: Vec<(u64, Vec<u8>)>,
     pub(crate) rodata_used: u64,
     pub(crate) data_used: u64,
@@ -215,31 +221,46 @@ pub(crate) struct GlobalLayout {
 /// `DATA_BASE + 8` (the first eight data bytes hold the pseudo-PRNG
 /// state), each aligned to its type.
 pub(crate) fn layout_globals(module: &Module) -> GlobalLayout {
-    let mut l = GlobalLayout {
-        addrs: Vec::with_capacity(module.globals.len()),
-        ..GlobalLayout::default()
-    };
+    let mut addrs = Vec::with_capacity(module.globals.len());
+    let mut data_blits = Vec::new();
+    let mut ro_inits: Vec<(usize, &[u8])> = Vec::new();
     let mut ro_cursor = layout::RODATA_BASE;
     let mut data_cursor = layout::DATA_BASE + 8;
     for g in &module.globals {
-        let (cursor, blits) = if g.readonly {
-            (&mut ro_cursor, &mut l.rodata_blits)
+        let cursor = if g.readonly {
+            &mut ro_cursor
         } else {
-            (&mut data_cursor, &mut l.data_blits)
+            &mut data_cursor
         };
         *cursor = smokestack_ir::align_to(*cursor, g.ty.align().max(1));
         let addr = *cursor;
-        l.addrs.push(addr);
+        addrs.push(addr);
         let size = g.ty.size();
         if let GlobalInit::Bytes(b) = &g.init {
             assert!(b.len() as u64 <= size, "initializer larger than global");
-            blits.push((addr, b.clone()));
+            if g.readonly {
+                ro_inits.push(((addr - layout::RODATA_BASE) as usize, b));
+            } else {
+                data_blits.push((addr, b.clone()));
+            }
         }
         *cursor += size;
     }
-    l.rodata_used = ro_cursor - layout::RODATA_BASE;
-    l.data_used = data_cursor - layout::DATA_BASE;
-    l
+    // Read-only globals are laid out in increasing address order, so the
+    // last initializer ends the image. One zeroed allocation, filled in
+    // place and shared as is: no second copy into the `Arc`.
+    let image_len = ro_inits.last().map_or(0, |(off, b)| off + b.len());
+    let mut image = vec![0u8; image_len];
+    for (off, b) in ro_inits {
+        image[off..off + b.len()].copy_from_slice(b);
+    }
+    GlobalLayout {
+        addrs,
+        rodata: Arc::new(image),
+        data_blits,
+        rodata_used: ro_cursor - layout::RODATA_BASE,
+        data_used: data_cursor - layout::DATA_BASE,
+    }
 }
 
 /// A module lowered to bytecode, plus every module-level prescan a VM
@@ -253,7 +274,8 @@ pub struct CompiledModule {
     pub(crate) cost_fp: u64,
     pub(crate) funcs: Vec<BcFunc>,
     /// Shared with every VM spawned from this image, so a spawn never
-    /// deep-copies the loader image (the P-BOX blit included).
+    /// deep-copies the loader image; the rodata image (the P-BOX
+    /// included) is mapped, not copied.
     pub(crate) globals: Arc<GlobalLayout>,
     /// Per-function slab class under the cost model this was compiled
     /// with (drives the stack-access discount/penalty).

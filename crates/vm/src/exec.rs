@@ -404,7 +404,10 @@ impl Vm {
             Some(c) => Arc::clone(&c.globals),
             None => Arc::new(layout_globals(&module)),
         };
-        for (addr, bytes) in gl.rodata_blits.iter().chain(&gl.data_blits) {
+        // Rodata is the compiled module's shared image, mapped rather
+        // than copied; only the data globals are blitted per VM.
+        mem.map_rodata(Arc::clone(&gl.rodata));
+        for (addr, bytes) in &gl.data_blits {
             mem.write_init(*addr, bytes).expect("global fits segment");
         }
         mem.set_rodata_used(gl.rodata_used);
@@ -475,8 +478,8 @@ impl Vm {
     /// a run can dirty: data, heap and stack are re-zeroed over their
     /// dirty spans, then only the data blits and the pseudo-PRNG slot
     /// are rewritten. The rodata image (string literals, the P-BOX)
-    /// stays from construction: program stores to read-only segments
-    /// fault, and only the loader uses `Memory::write_init`. After
+    /// stays mapped from construction: program stores to read-only
+    /// segments fault, and only the loader uses `Memory::write_init`. After
     /// `respawn` the VM is observationally identical to a
     /// freshly-constructed one with the same config — the TRNG draw
     /// order below mirrors `new_internal` exactly, which the backends

@@ -6,8 +6,10 @@
 //! exactly like native code. That property is what makes the DOP attacks
 //! in `smokestack-attacks` (and their defeat by Smokestack) meaningful.
 
+use std::cell::OnceCell;
 use std::fmt;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Address-space map. Segments are widely separated so that overflows
 /// within a segment behave natively while wild pointers fault.
@@ -56,9 +58,10 @@ pub struct Segment {
     /// only that span. `dirty_lo > dirty_hi` means the segment is
     /// clean, so resetting an untouched multi-megabyte segment costs
     /// nothing. [`Memory::reset`] wipes only the writable segments
-    /// (rodata keeps its loader image), which is what makes a resident
-    /// serve session's per-request respawn proportional to the bytes a
-    /// request can dirty, not the bytes mapped or the P-BOX's size.
+    /// (rodata is the shared image, which no program can write), which
+    /// is what makes a resident serve session's per-request respawn
+    /// proportional to the bytes a request can dirty, not the bytes
+    /// mapped or the P-BOX's size.
     dirty_lo: usize,
     dirty_hi: usize,
 }
@@ -203,12 +206,27 @@ impl fmt::Display for MemFault {
 impl std::error::Error for MemFault {}
 
 /// The whole simulated address space.
+///
+/// Data, heap and stack are private to each `Memory`. Rodata is not:
+/// the loader maps the compiled module's rodata image (string literals,
+/// the P-BOX) with `Memory::map_rodata`, and every VM spawned from
+/// that module reads the same shared, immutable buffer, as processes
+/// share a library's `.rodata` pages. Nothing is copied per VM.
 #[derive(Debug)]
 pub struct Memory {
     /// One zeroed allocation of at least [`MIN_ALLOC_BYTES`] holding
     /// rodata, data, heap and stack back to back; the segments are
-    /// offset ranges into it.
+    /// offset ranges into it. Its rodata range serves only the bytes
+    /// past `rodata_image`, which the loader may write only while no
+    /// image is mapped.
     bytes: Box<[u8]>,
+    /// The mapped rodata image: the segment's first `len()` bytes.
+    /// While it is non-empty, the rodata range of `bytes` is all zero.
+    rodata_image: Arc<Vec<u8>>,
+    /// The whole rodata segment as one private buffer (the image, then
+    /// zeros), built on the first read that straddles the image's end
+    /// and so needs both in one slice. Empty until then.
+    rodata_flat: OnceCell<Box<[u8]>>,
     rodata: Segment,
     data: Segment,
     heap: Segment,
@@ -271,6 +289,8 @@ impl Memory {
         let stack = Segment::new("stack", stack_base, heap.buf_end(), cfg.stack_size, true);
         Memory {
             bytes: vec![0; stack.buf_end().max(MIN_ALLOC_BYTES)].into_boxed_slice(),
+            rodata_image: Arc::default(),
+            rodata_flat: OnceCell::new(),
             rodata,
             data,
             heap,
@@ -331,12 +351,6 @@ impl Memory {
         }
     }
 
-    fn segment_for(&self, addr: u64, len: u64) -> Option<&Segment> {
-        [&self.rodata, &self.data, &self.heap, &self.stack]
-            .into_iter()
-            .find(|s| s.contains(addr, len))
-    }
-
     fn segment_for_mut(&mut self, addr: u64, len: u64) -> Option<&mut Segment> {
         if self.rodata.contains(addr, len) {
             Some(&mut self.rodata)
@@ -357,10 +371,58 @@ impl Memory {
     ///
     /// Faults if the range is not fully inside one segment.
     pub fn read(&self, addr: u64, len: u64) -> Result<&[u8], MemFault> {
-        match self.segment_for(addr, len) {
+        if self.rodata.contains(addr, len) {
+            return Ok(self.read_rodata(addr, len));
+        }
+        match [&self.data, &self.heap, &self.stack]
+            .into_iter()
+            .find(|s| s.contains(addr, len))
+        {
             Some(s) => Ok(&self.bytes[s.range(addr, len)]),
             None => Err(self.fault(addr, len, false)),
         }
+    }
+
+    /// Read `addr..addr+len`, which lies inside rodata: from the shared
+    /// image below its end, from the (zero) buffer range past it, and
+    /// from the lazily built flat copy when the range straddles both.
+    fn read_rodata(&self, addr: u64, len: u64) -> &[u8] {
+        let start = (addr - self.rodata.base) as usize;
+        let end = start + len as usize;
+        let image = self.rodata_image.as_slice();
+        if end <= image.len() {
+            &image[start..end]
+        } else if start >= image.len() {
+            &self.bytes[self.rodata.range(addr, len)]
+        } else {
+            let flat = self.rodata_flat.get_or_init(|| {
+                let mut flat = vec![0u8; self.rodata.len];
+                flat[..image.len()].copy_from_slice(image);
+                flat.into_boxed_slice()
+            });
+            &flat[start..end]
+        }
+    }
+
+    /// Loader: map `image` as the first `image.len()` bytes of rodata,
+    /// replacing whatever the segment held (the rest reads as zeros).
+    /// The image is shared, never copied: VMs spawned from one compiled
+    /// module all hold the same buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the image is larger than the rodata segment.
+    pub(crate) fn map_rodata(&mut self, image: Arc<Vec<u8>>) {
+        assert!(image.len() <= self.rodata.len, "global fits segment");
+        self.rodata.wipe(&mut self.bytes);
+        self.rodata_image = image;
+        self.rodata_flat = OnceCell::new();
+    }
+
+    /// The mapped rodata image.
+    #[cfg(test)]
+    pub(crate) fn rodata_image(&self) -> &Arc<Vec<u8>> {
+        &self.rodata_image
     }
 
     /// Write bytes at `addr` (program access: respects read-only).
@@ -385,7 +447,9 @@ impl Memory {
     }
 
     /// Loader-only write that may target read-only segments (used to
-    /// install global initializers and the P-BOX image).
+    /// install the data globals and the pseudo-PRNG slot). The VM
+    /// loader maps rodata with [`Memory::map_rodata`] instead, and a
+    /// write into rodata once an image is mapped is a loader bug.
     ///
     /// Crate-private on purpose: [`Memory::reset`] keeps rodata in place
     /// across respawns, which is sound only because nothing but the VM
@@ -395,8 +459,16 @@ impl Memory {
     /// # Errors
     ///
     /// Faults if the range is outside all segments.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a write into rodata after [`Memory::map_rodata`].
     pub(crate) fn write_init(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemFault> {
         let len = bytes.len() as u64;
+        assert!(
+            !self.rodata.contains(addr, len) || self.rodata_image.is_empty(),
+            "loader write into a mapped rodata image"
+        );
         match self.segment_for_mut(addr, len) {
             Some(s) => {
                 let r = s.range_mut(addr, len);
@@ -499,7 +571,7 @@ impl Memory {
 
     /// Return data, heap and stack to their freshly-allocated state:
     /// zeroed (only dirty spans are touched), with their high-water
-    /// accounting cleared. Rodata and `rodata_used`
+    /// accounting cleared. Rodata (the mapped image) and `rodata_used`
     /// stay as the loader left them: only the loader can write rodata,
     /// so no run can have changed it. The data image is *not*
     /// reinstalled — callers re-blit the data globals afterwards.
@@ -753,6 +825,87 @@ mod tests {
             }
             check_segment_edges(&mut m);
         }
+    }
+
+    /// A memory with `image` mapped as rodata and counted as its
+    /// `rodata_used`, as the VM loader leaves it.
+    fn mapped(image: &[u8]) -> Memory {
+        let mut m = mem();
+        m.map_rodata(Arc::new(image.to_vec()));
+        m.set_rodata_used(image.len() as u64);
+        m
+    }
+
+    #[test]
+    fn read_straddling_rodata_used_returns_image_then_zeros() {
+        let m = mapped(&[1, 2, 3, 4, 5, 6]);
+        let base = layout::RODATA_BASE;
+        assert_eq!(m.read(base + 2, 4).unwrap(), &[3, 4, 5, 6]);
+        assert_eq!(m.read(base + 4, 6).unwrap(), &[5, 6, 0, 0, 0, 0]);
+        assert_eq!(m.read_uint(base, 8).unwrap(), 0x0605_0403_0201);
+        // A straddling read up to the segment's end.
+        let cap = MemConfig::default().rodata_size as u64;
+        let all = m.read(base, cap).unwrap();
+        assert_eq!(&all[..6], &[1, 2, 3, 4, 5, 6]);
+        assert!(all[6..].iter().all(|&b| b == 0));
+        assert_eq!(m.peak_rss(), 6);
+    }
+
+    #[test]
+    fn read_past_rodata_used_within_segment_is_zero() {
+        let m = mapped(&[0xff; 24]);
+        let base = layout::RODATA_BASE;
+        let cap = MemConfig::default().rodata_size as u64;
+        assert_eq!(m.read(base + 24, 16).unwrap(), &[0; 16]);
+        assert_eq!(m.read(base + cap - 8, 8).unwrap(), &[0; 8]);
+        assert!(m.read(base + cap - 4, 8).is_err());
+    }
+
+    #[test]
+    fn program_write_to_mapped_rodata_faults_with_unchanged_locus() {
+        let mut m = mapped(&[0xab; 64]);
+        let base = layout::RODATA_BASE;
+        // Inside the image, across its end, and past it.
+        for offset in [0x10, 0x3f, 0x100] {
+            let err = m.write(base + offset, &[1, 2]).unwrap_err();
+            assert!(err.write);
+            assert_eq!(
+                err.locus,
+                FaultLocus::Within {
+                    segment: "rodata",
+                    offset
+                }
+            );
+            assert!(m.write_uint(base + offset, 7, 8).is_err());
+        }
+        assert_eq!(m.read(base, 64).unwrap(), &[0xab; 64]);
+        assert_eq!(m.read(base + 64, 2).unwrap(), &[0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "loader write into a mapped rodata image")]
+    fn loader_write_past_a_mapped_image_panics() {
+        let mut m = mapped(&[0xab; 16]);
+        let _ = m.write_init(layout::RODATA_BASE + 32, &[1]);
+    }
+
+    #[test]
+    fn vms_from_one_executor_share_one_rodata_image() {
+        use smokestack_ir::{Builder, Function, Module, Type, Value};
+        let mut module = Module::new();
+        module.add_cstring("greeting", "hello");
+        let mut f = Function::new("main", vec![], Type::I64);
+        Builder::new(&mut f).ret(Some(Value::i64(0)));
+        module.add_func(f);
+        let exec = crate::Executor::for_module(module).build();
+        let a = exec.vm_seeded(1);
+        let mut b = exec.vm_seeded(2);
+        assert!(Arc::ptr_eq(a.mem().rodata_image(), b.mem().rodata_image()));
+        b.respawn(3);
+        assert!(Arc::ptr_eq(a.mem().rodata_image(), b.mem().rodata_image()));
+        let greeting = b.global_addr("greeting");
+        assert_eq!(b.mem().read(greeting, 6).unwrap(), b"hello\0");
+        assert_eq!(b.mem().rodata_used(), 6);
     }
 
     #[test]

@@ -10,6 +10,7 @@ use smokestack_minic::compile;
 use smokestack_srng::SchemeKind;
 use smokestack_vm::{Executor, ScriptedInput, Session};
 
+const KIB: u64 = 1 << 10;
 const MIB: u64 = 1 << 20;
 
 /// Resident set size of this process in bytes (`/proc/self/statm`
@@ -28,10 +29,13 @@ fn rss_bytes() -> u64 {
 }
 
 /// 32 hardened VMs open at once must cost the pages their loaders
-/// touch (P-BOX image, data globals), not the 16 MiB of rodata, data
-/// and stack each one maps — also when half of them were opened in
-/// memory that closed VMs gave back, as campaign trials and serve
-/// requests do all the time.
+/// touch (data globals, the first stack page), not the 16 MiB of
+/// rodata, data and stack each one maps — also when half of them were
+/// opened in memory that closed VMs gave back, as campaign trials and
+/// serve requests do all the time. The rodata image (string literals
+/// and the ~250 KB P-BOX) is built once per compiled module and shared
+/// by every VM, so the 32 together stay under 64 KiB each: a per-VM
+/// copy of the image would cost about 280 KiB each.
 #[test]
 fn open_hardened_vms_fault_in_only_what_they_touch() {
     let mut module = compile(smokestack_attacks::librelp::SOURCE).expect("librelp compiles");
@@ -61,5 +65,12 @@ fn open_hardened_vms_fault_in_only_what_they_touch() {
         "32 open VMs grew RSS by {} MiB (zeroing 16 MiB each would be {} MiB)",
         grown / MIB,
         zeroed_in_full / MIB
+    );
+    let shared_image = 32 * 64 * KIB;
+    assert!(
+        grown < shared_image,
+        "32 open VMs grew RSS by {} KiB, over {} KiB: is the P-BOX image copied per VM?",
+        grown / KIB,
+        shared_image / KIB
     );
 }
