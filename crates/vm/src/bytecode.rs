@@ -1,12 +1,11 @@
 //! One-time lowering of an [`ir::Module`](Module) to a flat,
 //! cache-friendly bytecode.
 //!
-//! The tree-walking interpreter in [`crate::exec`] re-discovers program
-//! structure on every instruction: it clones each [`Inst`] out of its
-//! block (allocating for argument vectors and alloca name strings),
-//! chases `BlockId -> Block` indirections at every branch, and prices
-//! every instruction against the cost model per execution. This module
-//! does all of that work **once per module**:
+//! The tree-walking interpreter in [`crate::interp`] re-discovers
+//! program structure on every instruction: it chases `BlockId -> Block`
+//! indirections at every branch, evaluates each [`Value`] operand from
+//! its IR form, and prices every instruction against the cost model per
+//! execution. This module does that work **once per module**:
 //!
 //! * every function body becomes one flat `Vec<BcInst>` with block
 //!   boundaries erased — branch targets are pre-resolved instruction
@@ -18,17 +17,16 @@
 //! * every instruction's cost-model row is interned into the
 //!   instruction itself, so the dispatcher never consults the
 //!   [`CostModel`] at runtime;
-//! * module-level prescans the interpreter performs per VM construction
-//!   (global layout, slab classification, P-BOX draw recovery) are
-//!   captured in the [`CompiledModule`] and shared by every VM spawned
-//!   from it.
+//! * module-level prescans (global layout, slab classification, P-BOX
+//!   draw recovery) are captured in the [`CompiledModule`] and shared by
+//!   every VM spawned from it, under either backend.
 //!
 //! Compiled modules are memoized in a process-wide cache keyed by
 //! `(module identity, cost-model fingerprint)` so campaign and fuzz
 //! trials compile once and replay thousands of times.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 use smokestack_ir::{
     BinOp, Callee, CastKind, CmpPred, Function, GlobalInit, Inst, IntWidth, Intrinsic, Module,
@@ -87,8 +85,8 @@ pub(crate) enum BcCast {
 }
 
 /// One flat bytecode instruction. Terminators are ordinary instructions
-/// here (the interpreter's fetch loop charges fuel for them the same
-/// way), so instruction counts match the reference backend exactly.
+/// here (the execution core's budget step charges fuel for them as for
+/// any instruction), so instruction counts match the interpreter's.
 ///
 /// Every variant carries its interned cost-model charge `cost`; loads
 /// and stores are priced at execution time from the address, exactly as
@@ -190,13 +188,12 @@ pub(crate) enum BcInst {
 pub(crate) struct BcFunc {
     pub(crate) code: Vec<BcInst>,
     pub(crate) reg_count: u32,
-    pub(crate) param_count: u32,
 }
 
-/// Module-level layout the interpreter computes per VM: global
-/// addresses, initializer images, and segment high-water marks. The
-/// layout depends only on the module (never on `VmConfig`), so it is
-/// computed once here and reused by both backends.
+/// Module-level layout: global addresses, initializer images, and
+/// segment high-water marks. The layout depends only on the module
+/// (never on `VmConfig`), so it is computed once per compiled module and
+/// read by both backends.
 ///
 /// Initializers are split by segment. The rodata image (string
 /// literals, the P-BOX) is built here once, as one immutable buffer,
@@ -216,8 +213,7 @@ pub(crate) struct GlobalLayout {
     pub(crate) data_used: u64,
 }
 
-/// Lay out the module's globals exactly as the interpreter historically did:
-/// read-only globals pack from `RODATA_BASE`, mutable globals from
+/// Lay out the module's globals: read-only globals pack from `RODATA_BASE`, mutable globals from
 /// `DATA_BASE + 8` (the first eight data bytes hold the pseudo-PRNG
 /// state), each aligned to its type.
 pub(crate) fn layout_globals(module: &Module) -> GlobalLayout {
@@ -503,7 +499,6 @@ fn lower_func(
     BcFunc {
         code,
         reg_count: f.reg_count() as u32,
-        param_count: f.params.len() as u32,
     }
 }
 
@@ -527,6 +522,48 @@ pub(crate) fn classify_slabs(module: &Module, cost: &CostModel) -> Vec<SlabClass
         .collect()
 }
 
+/// Recover the slab-prologue P-BOX draw from an instrumented
+/// function's entry block: a `stack_rng` call whose result is masked
+/// (`And` with a constant) and then scaled by the row size (`Mul`).
+/// The `Mul` distinguishes the slab draw from VLA-pad draws, whose
+/// masked result feeds an `alloca` count directly.
+pub(crate) fn find_pbox_draw(f: &Function) -> Option<(RegId, u64)> {
+    let entry = f.block(Function::ENTRY);
+    let mut rng_reg: Option<RegId> = None;
+    let mut masked: Option<(RegId, u64, RegId)> = None; // (rng, mask, and_result)
+    for inst in &entry.insts {
+        match inst {
+            Inst::Call {
+                result: Some(r),
+                callee: Callee::Intrinsic(Intrinsic::StackRng),
+                ..
+            } => rng_reg = Some(*r),
+            Inst::Bin {
+                result,
+                op: BinOp::And,
+                lhs: Value::Reg(l),
+                rhs: Value::ConstInt(m, _),
+                ..
+            } if Some(*l) == rng_reg => {
+                masked = Some((rng_reg?, *m as u64, *result));
+            }
+            Inst::Bin {
+                op: BinOp::Mul,
+                lhs: Value::Reg(l),
+                ..
+            } => {
+                if let Some((rng, mask, and_result)) = masked {
+                    if *l == and_result {
+                        return Some((rng, mask));
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
 /// Lower `module` under `cost`. Prefer [`compiled_for`], which memoizes.
 pub fn compile_module(module: Arc<Module>, cost: &CostModel) -> CompiledModule {
     let globals = layout_globals(&module);
@@ -538,11 +575,7 @@ pub fn compile_module(module: Arc<Module>, cost: &CostModel) -> CompiledModule {
         .map(|f| lower_func(f, &globals, cost, &mut alloca_names, &mut name_ids))
         .collect();
     let slab_classes = classify_slabs(&module, cost);
-    let pbox_draws = module
-        .funcs
-        .iter()
-        .map(crate::exec::find_pbox_draw)
-        .collect();
+    let pbox_draws = module.funcs.iter().map(find_pbox_draw).collect();
     CompiledModule {
         module,
         cost_fp: cost.fingerprint(),
@@ -556,29 +589,51 @@ pub fn compile_module(module: Arc<Module>, cost: &CostModel) -> CompiledModule {
 
 type CacheKey = (usize, u64);
 
-fn cache() -> &'static Mutex<HashMap<CacheKey, Weak<CompiledModule>>> {
-    static CACHE: OnceLock<Mutex<HashMap<CacheKey, Weak<CompiledModule>>>> = OnceLock::new();
+/// One cache entry. The first caller for a key fills the slot outside
+/// the map lock; later callers for the same key wait on the slot, so
+/// different modules lower concurrently and one module lowers once.
+type Slot = Arc<OnceLock<Weak<CompiledModule>>>;
+
+fn cache() -> &'static Mutex<HashMap<CacheKey, Slot>> {
+    static CACHE: OnceLock<Mutex<HashMap<CacheKey, Slot>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 /// Compile-once cache: returns the memoized [`CompiledModule`] for this
 /// exact `Arc<Module>` and cost-model fingerprint, lowering on first
 /// use. Entries are weak, so a compiled image lives exactly as long as
-/// someone (an [`crate::Executor`], a [`crate::Vm`]) holds it.
+/// someone (an [`crate::Executor`], a [`crate::Vm`]) holds it. The
+/// process-wide lock is held only to look a key up, never across
+/// lowering.
 ///
 /// Keying by `Arc` pointer identity is sound because the returned image
 /// holds the module `Arc`: as long as a cache entry is upgradeable, no
 /// new module can occupy that address.
 pub fn compiled_for(module: &Arc<Module>, cost: &CostModel) -> Arc<CompiledModule> {
     let key = (Arc::as_ptr(module) as usize, cost.fingerprint());
-    let mut cache = cache().lock().expect("compiled-module cache poisoned");
-    cache.retain(|_, w| w.strong_count() > 0);
-    if let Some(hit) = cache.get(&key).and_then(Weak::upgrade) {
-        return hit;
+    loop {
+        let slot = {
+            // Every map operation below leaves the map consistent (no
+            // lowering runs under the lock), so a poisoned lock is safe
+            // to reuse.
+            let mut map = cache().lock().unwrap_or_else(PoisonError::into_inner);
+            // Drop entries whose image died; keep slots still filling.
+            map.retain(|_, s| s.get().is_none_or(|w| w.strong_count() > 0));
+            Arc::clone(map.entry(key).or_default())
+        };
+        let mut lowered = None;
+        let image = slot.get_or_init(|| {
+            let c = Arc::new(compile_module(Arc::clone(module), cost));
+            let image = Arc::downgrade(&c);
+            lowered = Some(c);
+            image
+        });
+        if let Some(c) = lowered.or_else(|| image.upgrade()) {
+            return c;
+        }
+        // The image died between its publication and this upgrade; the
+        // next pass drops the dead slot and lowers afresh.
     }
-    let compiled = Arc::new(compile_module(Arc::clone(module), cost));
-    cache.insert(key, Arc::downgrade(&compiled));
-    compiled
 }
 
 #[cfg(test)]
@@ -621,6 +676,25 @@ mod tests {
         };
         let c = compiled_for(&m, &other);
         assert!(!Arc::ptr_eq(&a, &c), "cost change must miss");
+    }
+
+    #[test]
+    fn concurrent_first_uses_of_one_module_share_one_image() {
+        let m = sample();
+        let cost = CostModel::default();
+        let start = std::sync::Barrier::new(4);
+        let images: Vec<Arc<CompiledModule>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        compiled_for(&m, &cost)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(images.iter().all(|c| Arc::ptr_eq(c, &images[0])));
     }
 
     #[test]

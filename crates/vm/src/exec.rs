@@ -1,21 +1,19 @@
-//! The interpreter: executes IR over the flat memory with cycle
-//! accounting.
+//! The VM: its configuration, run lifecycle (construct, respawn, run)
+//! and outcome types, plus the instruction semantics both backends
+//! share by value — arithmetic, comparisons and every intrinsic.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-#[cfg(test)]
-use smokestack_ir::Type;
-use smokestack_ir::{
-    BinOp, BlockId, Callee, CastKind, CmpPred, FuncId, Function, Inst, IntWidth, Intrinsic, Module,
-    RegId, Terminator, Value,
-};
+use smokestack_ir::{BinOp, CmpPred, IntWidth, Intrinsic};
 use smokestack_srng::{build_source, RandomSource, SchemeKind, SeededTrng, XorShift64};
 use smokestack_telemetry::{CycleCategory, Event, GuardKind, SharedRecorder};
 
-use crate::bytecode::{classify_slabs, layout_globals, CompiledModule, ExecBackend, GlobalLayout};
+use crate::bytecode::{CompiledModule, ExecBackend};
 use crate::cycles::{CostModel, CycleBreakdown};
+use crate::interp::Interp;
 use crate::io::{InputSource, OutputEvent};
+use crate::machine::Scratch;
 use crate::mem::{layout, MemConfig, MemFault, Memory};
 
 /// Why a run stopped abnormally.
@@ -209,10 +207,11 @@ pub struct VmConfig {
     /// guarded by an is-some check so the disabled path costs nothing
     /// measurable.
     pub recorder: Option<SharedRecorder>,
-    /// Execution engine. [`ExecBackend::Bytecode`] (the default) lowers
-    /// the module to flat bytecode once and replays it; the tree-walking
-    /// [`ExecBackend::Interp`] is retained as the semantic reference.
-    /// Both produce bit-identical [`RunOutcome`]s.
+    /// Execution engine. [`ExecBackend::Bytecode`] (the default) decodes
+    /// the module's flat bytecode; the tree-walking
+    /// [`ExecBackend::Interp`] decodes the IR itself and is retained as
+    /// the differential oracle for lowering. Both run on one execution
+    /// core and produce bit-identical [`RunOutcome`]s.
     pub backend: ExecBackend,
     /// Seed for the deterministic thread scheduler's preemption-quantum
     /// draws: one seed fully determines the interleaving. Ignored by
@@ -243,74 +242,17 @@ impl Default for VmConfig {
     }
 }
 
-/// Recover the slab-prologue P-BOX draw from an instrumented
-/// function's entry block: a `stack_rng` call whose result is masked
-/// (`And` with a constant) and then scaled by the row size (`Mul`).
-/// The `Mul` distinguishes the slab draw from VLA-pad draws, whose
-/// masked result feeds an `alloca` count directly.
-pub(crate) fn find_pbox_draw(f: &Function) -> Option<(RegId, u64)> {
-    let entry = f.block(Function::ENTRY);
-    let mut rng_reg: Option<RegId> = None;
-    let mut masked: Option<(RegId, u64, RegId)> = None; // (rng, mask, and_result)
-    for inst in &entry.insts {
-        match inst {
-            Inst::Call {
-                result: Some(r),
-                callee: Callee::Intrinsic(Intrinsic::StackRng),
-                ..
-            } => rng_reg = Some(*r),
-            Inst::Bin {
-                result,
-                op: BinOp::And,
-                lhs: Value::Reg(l),
-                rhs: Value::ConstInt(m, _),
-                ..
-            } if Some(*l) == rng_reg => {
-                masked = Some((rng_reg?, *m as u64, *result));
-            }
-            Inst::Bin {
-                op: BinOp::Mul,
-                lhs: Value::Reg(l),
-                ..
-            } => {
-                if let Some((rng, mask, and_result)) = masked {
-                    if *l == and_result {
-                        return Some((rng, mask));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-struct Frame {
-    func: FuncId,
-    regs: Vec<u64>,
-    block: BlockId,
-    idx: usize,
-    entry_sp: u64,
-    ret_reg: Option<RegId>,
-    /// Lowest stack pointer this frame's allocas reached (frame size =
-    /// `entry_sp - low_sp`).
-    low_sp: u64,
-    /// `guard_key` intrinsic calls in this frame (call #1 is the
-    /// prologue store; each later call is an epilogue check).
-    guard_calls: u32,
-    /// `canary` intrinsic calls in this frame (same convention).
-    canary_calls: u32,
-}
-
 /// The virtual machine: owns a loaded module image and executes it.
 ///
-/// The module is held behind an [`Arc`], so spawning many VMs over the
-/// same build (Monte-Carlo trial campaigns, per-worker VM pools) shares
-/// one immutable image instead of deep-copying the IR per run; `Vm` only
-/// ever reads the module. `Module` itself is `Send`, so a build can be
-/// deployed once and fanned out across worker threads.
+/// The module's compiled value is held behind an [`Arc`], so spawning
+/// many VMs over the same build (Monte-Carlo trial campaigns, per-worker
+/// VM pools) shares one immutable image — the IR, its bytecode, the
+/// global layout with the rodata image, and the per-function tables —
+/// instead of copying any of it per run. `Module` itself is `Send`, so a
+/// build can be deployed once and fanned out across worker threads.
 pub struct Vm {
-    pub(crate) module: Arc<Module>,
+    /// The module and every per-module table both backends read.
+    pub(crate) compiled: Arc<CompiledModule>,
     pub(crate) mem: Memory,
     pub(crate) cost: CostModel,
     pub(crate) scheme: SchemeKind,
@@ -320,22 +262,12 @@ pub struct Vm {
     pub(crate) stack_base_offset: u64,
     pub(crate) fuel: u64,
     pub(crate) record_allocas: bool,
-    /// The global layout (addresses + initializer blits), shared with
-    /// the compiled image and retained so [`Vm::respawn`] can re-install
-    /// the data image without touching the module or the compiled cache.
-    pub(crate) globals: Arc<GlobalLayout>,
-    pub(crate) slab_funcs: Vec<crate::cycles::SlabClass>,
     pub(crate) recorder: Option<SharedRecorder>,
-    /// Per function: the `stack_rng` result register and P-BOX mask of
-    /// the hardened slab prologue, recovered by prescan (None if the
-    /// function is uninstrumented).
-    pub(crate) pbox_draws: Vec<Option<(RegId, u64)>>,
-    /// Which engine [`Vm::run_with`] dispatches to.
+    /// Which decoder [`Vm::run_with`] runs on the execution core.
     pub(crate) backend: ExecBackend,
-    /// Compiled image (present iff `backend` is bytecode).
-    pub(crate) compiled: Option<Arc<CompiledModule>>,
-    /// Reusable register file + call stack for the bytecode dispatcher.
-    pub(crate) scratch: crate::dispatch::Scratch,
+    /// The main thread's register file and call stack under the bytecode
+    /// backend, reused across runs.
+    pub(crate) scratch: Scratch<u32>,
     // Heap allocator state.
     pub(crate) heap_next: u64,
     pub(crate) free_lists: HashMap<u64, Vec<u64>>,
@@ -368,70 +300,50 @@ pub struct Vm {
     pub(crate) sched: Option<Box<crate::sched::SchedState>>,
 }
 
-impl Vm {
-    /// The real constructor. `compiled` (if provided by an
-    /// [`crate::Executor`]) must have been lowered from this exact
-    /// module; it is revalidated against the config's cost model and
-    /// recompiled through the process cache on mismatch.
-    pub(crate) fn new_internal(
-        module: Arc<Module>,
-        cfg: VmConfig,
-        compiled: Option<Arc<CompiledModule>>,
-    ) -> Vm {
-        let compiled = match cfg.backend {
-            ExecBackend::Bytecode => Some(match compiled {
-                Some(c)
-                    if c.cost_fp == cfg.cost.fingerprint() && Arc::ptr_eq(&c.module, &module) =>
-                {
-                    c
-                }
-                _ => crate::bytecode::compiled_for(&module, &cfg.cost),
-            }),
-            ExecBackend::Interp => None,
-        };
+/// A run's secrets, drawn from the TRNG seeded with the run's seed in
+/// the one order that construction and respawn share: guard key,
+/// canary, pseudo-PRNG seed, then the `stack_rng` source.
+fn draw_secrets(scheme: SchemeKind, trng_seed: u64) -> (u64, u64, u64, Box<dyn RandomSource>) {
+    use smokestack_srng::TrueRandom;
+    let mut trng = SeededTrng::new(trng_seed);
+    let guard_key = trng.next_u64();
+    let canary = trng.next_u64() | 0xff; // never zero
+    let pseudo_seed = trng.next_u64();
+    (guard_key, canary, pseudo_seed, build_source(scheme, trng))
+}
 
-        let mut trng = SeededTrng::new(cfg.trng_seed);
-        use smokestack_srng::TrueRandom;
-        let guard_key = trng.next_u64();
-        let canary = trng.next_u64() | 0xff; // never zero
-        let pseudo_seed = trng.next_u64();
-        let rng = build_source(cfg.scheme, trng);
+impl Vm {
+    /// The real constructor. `compiled` is the module's compiled value;
+    /// it is revalidated against the config's cost model and re-resolved
+    /// through the process cache on mismatch (the interned costs and
+    /// slab classes depend on it, under either backend).
+    pub(crate) fn new_internal(compiled: Arc<CompiledModule>, cfg: VmConfig) -> Vm {
+        let compiled = if compiled.cost_fp == cfg.cost.fingerprint() {
+            compiled
+        } else {
+            crate::bytecode::compiled_for(&compiled.module, &cfg.cost)
+        };
+        let (guard_key, canary, pseudo_seed, rng) = draw_secrets(cfg.scheme, cfg.trng_seed);
 
         let mut mem = Memory::new(cfg.mem);
-        // Lay out globals (shared with the bytecode image: the layout
-        // depends only on the module, never on the config).
-        let gl = match &compiled {
-            Some(c) => Arc::clone(&c.globals),
-            None => Arc::new(layout_globals(&module)),
-        };
         // Rodata is the compiled module's shared image, mapped rather
-        // than copied; only the data globals are blitted per VM.
+        // than copied; only the data globals are written per VM.
+        let gl = &compiled.globals;
         mem.map_rodata(Arc::clone(&gl.rodata));
-        for (addr, bytes) in &gl.data_blits {
-            mem.write_init(*addr, bytes).expect("global fits segment");
-        }
         mem.set_rodata_used(gl.rodata_used);
-        mem.set_data_used(gl.data_used);
-        // First 8 bytes of data hold the memory-resident pseudo-PRNG state.
-        mem.write_init(layout::DATA_BASE, &pseudo_seed.to_le_bytes())
-            .expect("pseudo state slot");
-
-        let slab_funcs = match &compiled {
-            Some(c) => c.slab_classes.clone(),
-            None => classify_slabs(&module, &cfg.cost),
-        };
-        let pbox_draws = match &compiled {
-            Some(c) => c.pbox_draws.clone(),
-            None => module.funcs.iter().map(find_pbox_draw).collect(),
-        };
 
         if let Some(r) = &cfg.recorder {
-            let names: Vec<String> = module.funcs.iter().map(|f| f.name.clone()).collect();
+            let names: Vec<String> = compiled
+                .module
+                .funcs
+                .iter()
+                .map(|f| f.name.clone())
+                .collect();
             r.on_functions(&names);
         }
 
-        Vm {
-            module,
+        let mut vm = Vm {
+            compiled,
             mem,
             cost: cfg.cost,
             scheme: cfg.scheme,
@@ -441,13 +353,9 @@ impl Vm {
             stack_base_offset: cfg.stack_base_offset,
             fuel: cfg.fuel,
             record_allocas: cfg.record_allocas,
-            globals: gl,
-            slab_funcs,
             recorder: cfg.recorder,
-            pbox_draws,
             backend: cfg.backend,
-            compiled,
-            scratch: crate::dispatch::Scratch::default(),
+            scratch: Scratch::default(),
             heap_next: 0,
             free_lists: HashMap::new(),
             block_sizes: HashMap::new(),
@@ -468,21 +376,42 @@ impl Vm {
             next_preempt: u64::MAX,
             pending_block: false,
             sched: None,
+        };
+        vm.install_data(pseudo_seed);
+        vm
+    }
+
+    /// Write the data globals' initializers and the memory-resident
+    /// pseudo-PRNG state (the first eight data bytes).
+    fn install_data(&mut self, pseudo_seed: u64) {
+        let gl = &self.compiled.globals;
+        // Loader precondition, met once per construction and respawn and
+        // never by a running program: the module's data globals fit
+        // `MemConfig::data_size`. `layout_globals` packs them from
+        // `DATA_BASE + 8`, so the state slot below always fits.
+        for (addr, bytes) in &gl.data_blits {
+            self.mem
+                .write_init(*addr, bytes)
+                .expect("data global fits the data segment");
         }
+        self.mem.set_data_used(gl.data_used);
+        self.mem
+            .write_init(layout::DATA_BASE, &pseudo_seed.to_le_bytes())
+            .expect("pseudo-PRNG slot lies in the data segment");
     }
 
     /// Re-arm this VM for a fresh run under a new TRNG seed, reusing
     /// every allocation the previous runs paid for: the memory segments,
-    /// the bytecode register file and call stack, the compiled image,
-    /// and the precomputed slab/P-BOX tables. The cost follows the bytes
-    /// a run can dirty: data, heap and stack are re-zeroed over their
-    /// dirty spans, then only the data blits and the pseudo-PRNG slot
-    /// are rewritten. The rodata image (string literals, the P-BOX)
-    /// stays mapped from construction: program stores to read-only
-    /// segments fault, and only the loader uses `Memory::write_init`. After
-    /// `respawn` the VM is observationally identical to a
-    /// freshly-constructed one with the same config — the TRNG draw
-    /// order below mirrors `new_internal` exactly, which the backends
+    /// the bytecode register file and call stack, and the compiled
+    /// value. The cost follows the bytes a run can dirty: data, heap and
+    /// stack are re-zeroed over their dirty spans, then only the data
+    /// globals and the pseudo-PRNG slot are rewritten. The rodata image
+    /// (string literals, the P-BOX) stays mapped from construction:
+    /// program stores to read-only segments fault, and only the loader
+    /// uses `Memory::write_init`. After `respawn` the VM is
+    /// observationally identical to a freshly-constructed one with the
+    /// same config — both draw their secrets through one function and
+    /// write the data image through another, which the backends
     /// bit-identity tests pin.
     pub fn respawn(&mut self, trng_seed: u64) {
         let offset = self.stack_base_offset;
@@ -492,25 +421,13 @@ impl Vm {
     /// [`Vm::respawn`] with a per-run stack base offset (the resident
     /// analog of [`crate::Executor::vm_configured`]).
     pub fn respawn_configured(&mut self, trng_seed: u64, stack_base_offset: u64) {
-        let mut trng = SeededTrng::new(trng_seed);
-        use smokestack_srng::TrueRandom;
-        self.guard_key = trng.next_u64();
-        self.canary = trng.next_u64() | 0xff; // never zero
-        let pseudo_seed = trng.next_u64();
-        self.rng = build_source(self.scheme, trng);
+        let pseudo_seed;
+        (self.guard_key, self.canary, pseudo_seed, self.rng) = draw_secrets(self.scheme, trng_seed);
         self.trng_seed = trng_seed;
         self.stack_base_offset = stack_base_offset;
 
         self.mem.reset();
-        for (addr, bytes) in &self.globals.data_blits {
-            self.mem
-                .write_init(*addr, bytes)
-                .expect("global fits segment");
-        }
-        self.mem.set_data_used(self.globals.data_used);
-        self.mem
-            .write_init(layout::DATA_BASE, &pseudo_seed.to_le_bytes())
-            .expect("pseudo state slot");
+        self.install_data(pseudo_seed);
 
         self.heap_next = 0;
         self.free_lists.clear();
@@ -580,12 +497,14 @@ impl Vm {
     /// Panics if `name` is not a global of the module.
     pub fn global_addr(&self, name: &str) -> u64 {
         let idx = self
+            .compiled
             .module
             .globals
             .iter()
             .position(|g| g.name == name)
+            // Caller contract (see # Panics), not reachable from a program.
             .unwrap_or_else(|| panic!("no global named {name}"));
-        self.globals.addrs[idx]
+        self.compiled.globals.addrs[idx]
     }
 
     /// Run `main` with no arguments and scripted (possibly empty) input.
@@ -622,13 +541,16 @@ impl Vm {
         args: &[u64],
         input: &mut dyn InputSource,
     ) -> RunOutcome {
-        let fid = self
-            .module
+        let module = &self.compiled.module;
+        // Caller contract (see # Panics), not reachable from a program.
+        let fid = module
             .func_by_name(entry)
             .unwrap_or_else(|| panic!("no function named {entry}"));
-        let f = self.module.func(fid);
-        assert_eq!(f.params.len(), args.len(), "entry argument count");
-        let entry_reg_count = f.reg_count();
+        assert_eq!(
+            module.func(fid).params.len(),
+            args.len(),
+            "entry argument count"
+        );
         self.sp = layout::STACK_TOP - layout::STACK_START_GAP - self.stack_base_offset;
         self.sp &= !0xf;
         self.stack_limit = self.mem.stack_base();
@@ -636,27 +558,21 @@ impl Vm {
         self.pending_block = false;
         self.sched = None;
         self.max_depth = 1;
-        self.emit(Event::FuncEnter {
-            func: fid.0,
-            depth: 1,
-        });
+        let compiled = Arc::clone(&self.compiled);
         let exit = match self.backend {
-            ExecBackend::Bytecode => crate::dispatch::run_compiled(self, fid, args, input),
+            ExecBackend::Bytecode => {
+                let mut main = std::mem::take(&mut self.scratch);
+                let exit = self.run_threads(&*compiled, &mut main, fid.0, args, input);
+                self.scratch = main;
+                exit
+            }
             ExecBackend::Interp => {
-                let mut regs = vec![0u64; entry_reg_count];
-                regs[..args.len()].copy_from_slice(args);
-                let mut frames = vec![Frame {
-                    func: fid,
-                    regs,
-                    block: Function::ENTRY,
-                    idx: 0,
-                    entry_sp: self.sp,
-                    ret_reg: None,
-                    low_sp: self.sp,
-                    guard_calls: 0,
-                    canary_calls: 0,
-                }];
-                self.exec_loop(&mut frames, input)
+                let interp = Interp {
+                    module: &compiled.module,
+                    global_addrs: &compiled.globals.addrs,
+                    slab_classes: &compiled.slab_classes,
+                };
+                self.run_threads(&interp, &mut Scratch::default(), fid.0, args, input)
             }
         };
         if self.recorder.is_some() {
@@ -681,424 +597,6 @@ impl Vm {
             alloca_trace: std::mem::take(&mut self.alloca_trace),
             sched_digest: self.sched_digest(),
         }
-    }
-
-    /// Top-level interpreter driver: runs slices of the current thread
-    /// and rotates through the scheduler between them. Single-threaded
-    /// programs take exactly one `exec_slice` call (the preemption
-    /// compare is disarmed at `u64::MAX`, and `sched_pick_next` is a
-    /// no-op while `sched` is `None`).
-    fn exec_loop(&mut self, frames: &mut Vec<Frame>, input: &mut dyn InputSource) -> Exit {
-        // Call stacks for spawned threads (tid >= 1), created on first
-        // schedule; `frames` stays the main thread's stack.
-        let mut extra: Vec<Vec<Frame>> = Vec::new();
-        loop {
-            let cur = self.sched.as_deref().map_or(0, |s| s.cur);
-            if cur != 0 && extra.len() < cur {
-                extra.resize_with(cur, Vec::new);
-            }
-            let stack: &mut Vec<Frame> = if cur == 0 {
-                frames
-            } else {
-                &mut extra[cur - 1]
-            };
-            if stack.is_empty() {
-                // First time this thread runs: materialize its entry
-                // frame at the top of its slab (`sched_pick_next`
-                // already restored `self.sp` to the slab top).
-                let (entry, arg) = {
-                    let s = self.sched.as_deref().expect("worker implies sched");
-                    (s.threads[cur].entry, s.threads[cur].arg)
-                };
-                let mut regs = vec![0u64; self.module.func(entry).reg_count()];
-                regs[0] = arg;
-                stack.push(Frame {
-                    func: entry,
-                    regs,
-                    block: Function::ENTRY,
-                    idx: 0,
-                    entry_sp: self.sp,
-                    ret_reg: None,
-                    low_sp: self.sp,
-                    guard_calls: 0,
-                    canary_calls: 0,
-                });
-                self.emit(Event::FuncEnter {
-                    func: entry.0,
-                    depth: 1,
-                });
-            }
-            match self.exec_slice(stack, input) {
-                crate::sched::SliceEnd::Exit(exit) => {
-                    if cur == 0 {
-                        // Main returning (or any exit/fault) ends the
-                        // whole run — process semantics.
-                        return exit;
-                    }
-                    if let Some(fatal) = self.sched_thread_finished(cur, exit) {
-                        return fatal;
-                    }
-                }
-                crate::sched::SliceEnd::Preempt | crate::sched::SliceEnd::Block => {}
-            }
-            if let Err(fault) = self.sched_pick_next() {
-                return Exit::Fault(fault);
-            }
-        }
-    }
-
-    /// Run the current thread until its quantum expires, it blocks, or
-    /// it finishes. The loop protocol (fuel check → preempt check →
-    /// `insts += 1` → charge → execute) is mirrored exactly by the
-    /// bytecode dispatcher — bit-identity depends on it.
-    fn exec_slice(
-        &mut self,
-        frames: &mut Vec<Frame>,
-        input: &mut dyn InputSource,
-    ) -> crate::sched::SliceEnd {
-        use crate::sched::SliceEnd;
-        loop {
-            if self.insts >= self.fuel {
-                return SliceEnd::Exit(Exit::Fault(FaultKind::OutOfFuel));
-            }
-            if self.insts >= self.next_preempt {
-                return SliceEnd::Preempt;
-            }
-            self.insts += 1;
-
-            let fr = frames.last().expect("nonempty call stack");
-            let func = &self.module.funcs[fr.func.0 as usize];
-            let block = func.block(fr.block);
-
-            if fr.idx >= block.insts.len() {
-                // Execute terminator.
-                let term = block.term.clone();
-                let c = self.cost.term_cost(&term);
-                self.charge(CycleCategory::Control, c);
-                match term {
-                    Terminator::Br(b) => {
-                        let fr = frames.last_mut().expect("frame");
-                        fr.block = b;
-                        fr.idx = 0;
-                    }
-                    Terminator::CondBr {
-                        cond,
-                        then_bb,
-                        else_bb,
-                    } => {
-                        let v = self.eval(frames.last().expect("frame"), &cond);
-                        let fr = frames.last_mut().expect("frame");
-                        fr.block = if v != 0 { then_bb } else { else_bb };
-                        fr.idx = 0;
-                    }
-                    Terminator::Ret(v) => {
-                        let val = v.map(|v| self.eval(frames.last().expect("frame"), &v));
-                        let done = frames.last().expect("frame");
-                        self.sp = done.entry_sp;
-                        let ret_reg = done.ret_reg;
-                        if self.recorder.is_some() {
-                            let func = done.func.0;
-                            let frame_bytes = done.entry_sp - done.low_sp;
-                            // Reaching `ret` means any epilogue integrity
-                            // check (guard-key/canary call #2+) passed —
-                            // failures divert to GuardFail/CanaryFail and
-                            // never get here.
-                            if done.guard_calls >= 2 {
-                                self.emit(Event::GuardCheck {
-                                    func,
-                                    kind: GuardKind::Word,
-                                    passed: true,
-                                });
-                            }
-                            if done.canary_calls >= 2 {
-                                self.emit(Event::GuardCheck {
-                                    func,
-                                    kind: GuardKind::Canary,
-                                    passed: true,
-                                });
-                            }
-                            self.emit(Event::FuncExit { func, frame_bytes });
-                        }
-                        frames.pop();
-                        match frames.last_mut() {
-                            None => {
-                                return SliceEnd::Exit(match val {
-                                    Some(v) => Exit::Return(v),
-                                    None => Exit::ReturnVoid,
-                                });
-                            }
-                            Some(caller) => {
-                                if let (Some(r), Some(v)) = (ret_reg, val) {
-                                    caller.regs[r.0 as usize] = v;
-                                }
-                            }
-                        }
-                    }
-                    Terminator::Unreachable => {
-                        return SliceEnd::Exit(Exit::Fault(FaultKind::UnreachableExecuted));
-                    }
-                }
-                continue;
-            }
-
-            let inst = block.insts[fr.idx].clone();
-            let c = self.cost.inst_cost(&inst);
-            match &inst {
-                Inst::Call { .. } => self.charge(CycleCategory::Control, c),
-                _ => self.charge(CycleCategory::Alu, c),
-            }
-
-            // Advance past this instruction *before* executing it so that
-            // calls resume correctly.
-            frames.last_mut().expect("frame").idx += 1;
-
-            if let Err(fault) = self.exec_inst(&inst, frames, input) {
-                return SliceEnd::Exit(Exit::Fault(fault));
-            }
-            if self.pending_block {
-                // A blocking intrinsic yielded: rewind so the call
-                // re-executes (and re-charges, deterministically on both
-                // backends) when the thread wakes.
-                self.pending_block = false;
-                frames.last_mut().expect("frame").idx -= 1;
-                return SliceEnd::Block;
-            }
-            if let Some(code) = self.pending_exit.take() {
-                return SliceEnd::Exit(Exit::Exited(code));
-            }
-        }
-    }
-
-    fn eval(&self, fr: &Frame, v: &Value) -> u64 {
-        match v {
-            Value::Reg(r) => fr.regs[r.0 as usize],
-            Value::ConstInt(c, w) => w.truncate(*c as u64),
-            Value::Global(g) => self.globals.addrs[g.0 as usize],
-            Value::Func(f) => layout::CODE_BASE + 16 * f.0 as u64,
-            Value::NullPtr => 0,
-        }
-    }
-
-    /// Charge one load/store executed by `func` at `addr` (slab-class
-    /// discount plus stack locality), shared by both backends.
-    pub(crate) fn charge_mem_for(&mut self, func: FuncId, addr: u64) {
-        let slab = self.slab_funcs[func.0 as usize];
-        let is_stack = addr >= self.mem.stack_base() && addr < layout::STACK_TOP;
-        let c = self.cost.mem_cost(slab, is_stack);
-        self.charge(CycleCategory::Mem, c);
-    }
-
-    fn charge_mem(&mut self, fr: &Frame, addr: u64) {
-        self.charge_mem_for(fr.func, addr);
-    }
-
-    fn set_reg(frames: &mut [Frame], r: RegId, v: u64) {
-        let fr = frames.last_mut().expect("frame");
-        fr.regs[r.0 as usize] = v;
-    }
-
-    fn exec_inst(
-        &mut self,
-        inst: &Inst,
-        frames: &mut Vec<Frame>,
-        input: &mut dyn InputSource,
-    ) -> Result<(), FaultKind> {
-        let fr = frames.last().expect("frame");
-        match inst {
-            Inst::Alloca {
-                result,
-                ty,
-                count,
-                align,
-                name,
-                ..
-            } => {
-                let n = count.as_ref().map(|c| self.eval(fr, c)).unwrap_or(1);
-                let size = ty.size().checked_mul(n).ok_or(FaultKind::StackOverflow)?;
-                let align = (*align).max(1);
-                let new_sp =
-                    self.sp.checked_sub(size).ok_or(FaultKind::StackOverflow)? & !(align - 1);
-                if new_sp < self.stack_limit {
-                    return Err(FaultKind::StackOverflow);
-                }
-                self.sp = new_sp;
-                self.mem.note_stack_pointer(new_sp);
-                if self.recorder.is_some() {
-                    self.emit(Event::Alloca {
-                        func: fr.func.0,
-                        addr: new_sp,
-                        size,
-                    });
-                }
-                if self.record_allocas {
-                    let func_name = self.module.funcs[fr.func.0 as usize].name.clone();
-                    self.alloca_trace.push(AllocaRecord {
-                        func: func_name,
-                        var: name.clone(),
-                        addr: new_sp,
-                        size,
-                        depth: frames.len(),
-                    });
-                }
-                let frm = frames.last_mut().expect("frame");
-                frm.low_sp = frm.low_sp.min(new_sp);
-                Self::set_reg(frames, *result, new_sp);
-            }
-            Inst::Load { result, ty, ptr } => {
-                let addr = self.eval(fr, ptr);
-                self.charge_mem(fr, addr);
-                self.race_plain(addr, ty.size(), false)?;
-                let v = self
-                    .mem
-                    .read_uint(addr, ty.size())
-                    .map_err(FaultKind::Mem)?;
-                Self::set_reg(frames, *result, v);
-            }
-            Inst::Store { ty, val, ptr } => {
-                let addr = self.eval(fr, ptr);
-                self.charge_mem(fr, addr);
-                self.race_plain(addr, ty.size(), true)?;
-                let v = self.eval(fr, val);
-                self.mem
-                    .write_uint(addr, v, ty.size())
-                    .map_err(FaultKind::Mem)?;
-            }
-            Inst::Gep {
-                result,
-                base,
-                offset,
-            } => {
-                let b = self.eval(fr, base);
-                let o = self.eval(fr, offset);
-                Self::set_reg(frames, *result, b.wrapping_add(o));
-            }
-            Inst::Bin {
-                result,
-                op,
-                width,
-                lhs,
-                rhs,
-            } => {
-                let a = self.eval(fr, lhs);
-                let b = self.eval(fr, rhs);
-                let v = Self::binop(*op, *width, a, b)?;
-                Self::set_reg(frames, *result, v);
-            }
-            Inst::Icmp {
-                result,
-                pred,
-                width,
-                lhs,
-                rhs,
-            } => {
-                let a = self.eval(fr, lhs);
-                let b = self.eval(fr, rhs);
-                let v = Self::icmp(*pred, *width, a, b);
-                Self::set_reg(frames, *result, v as u64);
-            }
-            Inst::Cast {
-                result,
-                kind,
-                to,
-                val,
-            } => {
-                let v = self.eval(fr, val);
-                let out = match kind {
-                    CastKind::ZextOrTrunc => match to.int_width() {
-                        Some(w) => w.truncate(v),
-                        None => v,
-                    },
-                    CastKind::SextFrom(src) => {
-                        let wide = src.sext(src.truncate(v)) as u64;
-                        match to.int_width() {
-                            Some(w) => w.truncate(wide),
-                            None => wide,
-                        }
-                    }
-                    CastKind::PtrToInt | CastKind::IntToPtr => v,
-                };
-                Self::set_reg(frames, *result, out);
-            }
-            Inst::Call {
-                result,
-                callee,
-                args,
-            } => {
-                let argv: Vec<u64> = args.iter().map(|a| self.eval(fr, a)).collect();
-                match callee {
-                    Callee::Intrinsic(i) => {
-                        let top = frames.last_mut().expect("frame");
-                        let cur_func = top.func;
-                        let Frame {
-                            guard_calls,
-                            canary_calls,
-                            ..
-                        } = top;
-                        let ret = self.exec_intrinsic(
-                            *i,
-                            &argv,
-                            input,
-                            cur_func,
-                            *result,
-                            guard_calls,
-                            canary_calls,
-                        )?;
-                        if let (Some(r), Some(v)) = (result, ret) {
-                            Self::set_reg(frames, *r, v);
-                        }
-                    }
-                    Callee::Direct(fid) => {
-                        self.push_frame(frames, *fid, &argv, *result)?;
-                    }
-                    Callee::Indirect(target) => {
-                        let addr = self.eval(fr, target);
-                        let off = addr.wrapping_sub(layout::CODE_BASE);
-                        if !off.is_multiple_of(16) || (off / 16) as usize >= self.module.funcs.len()
-                        {
-                            return Err(FaultKind::BadIndirectCall(addr));
-                        }
-                        let fid = FuncId((off / 16) as u32);
-                        if self.module.func(fid).params.len() != argv.len() {
-                            return Err(FaultKind::BadIndirectCall(addr));
-                        }
-                        self.push_frame(frames, fid, &argv, *result)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn push_frame(
-        &mut self,
-        frames: &mut Vec<Frame>,
-        fid: FuncId,
-        argv: &[u64],
-        ret_reg: Option<RegId>,
-    ) -> Result<(), FaultKind> {
-        if frames.len() >= 100_000 {
-            return Err(FaultKind::StackOverflow);
-        }
-        let f = self.module.func(fid);
-        let mut regs = vec![0u64; f.reg_count()];
-        regs[..argv.len()].copy_from_slice(argv);
-        frames.push(Frame {
-            func: fid,
-            regs,
-            block: Function::ENTRY,
-            idx: 0,
-            entry_sp: self.sp,
-            ret_reg,
-            low_sp: self.sp,
-            guard_calls: 0,
-            canary_calls: 0,
-        });
-        self.max_depth = self.max_depth.max(frames.len());
-        self.emit(Event::FuncEnter {
-            func: fid.0,
-            depth: frames.len() as u32,
-        });
-        Ok(())
     }
 
     pub(crate) fn binop(op: BinOp, w: IntWidth, a: u64, b: u64) -> Result<u64, FaultKind> {
@@ -1164,20 +662,17 @@ impl Vm {
         }
     }
 
-    /// Execute one intrinsic. Decoupled from the interpreter's frame
-    /// representation (the caller passes the executing function and its
-    /// frame's guard/canary counters) so the bytecode dispatcher shares
-    /// this exact code path — intrinsic behavior, cycle charges, and
-    /// telemetry events are bit-identical across backends by
-    /// construction.
+    /// Execute one intrinsic for function `func`, whose frame's
+    /// guard/canary counters the caller passes (see
+    /// `Vm::call_intrinsic`, the one call site both backends share).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn exec_intrinsic(
         &mut self,
         which: Intrinsic,
         argv: &[u64],
         input: &mut dyn InputSource,
-        cur_func: FuncId,
-        result: Option<RegId>,
+        func: u32,
+        result: Option<u32>,
         guard_calls: &mut u32,
         canary_calls: &mut u32,
     ) -> Result<Option<u64>, FaultKind> {
@@ -1349,7 +844,13 @@ impl Vm {
                     match self.sched.as_deref_mut() {
                         Some(s) if s.cur != 0 => {
                             let cur = s.cur;
-                            s.threads[cur].rng.as_mut().expect("worker rng").next_u64()
+                            // Invariant: `sched_spawn` gives every worker
+                            // a source, dropped only once it finishes.
+                            s.threads[cur]
+                                .rng
+                                .as_mut()
+                                .expect("a running worker has its rng")
+                                .next_u64()
                         }
                         _ => self.rng.next_u64(),
                     }
@@ -1361,10 +862,10 @@ impl Vm {
                     });
                     // If this draw is the executing function's slab
                     // prologue draw, report which P-BOX row it selects.
-                    if let Some((reg, mask)) = self.pbox_draws[cur_func.0 as usize] {
-                        if result == Some(reg) {
+                    if let Some((reg, mask)) = self.compiled.pbox_draws[func as usize] {
+                        if result == Some(reg.0) {
                             self.emit(Event::PboxSelect {
-                                func: cur_func.0,
+                                func,
                                 index: v & mask,
                             });
                         }
@@ -1381,25 +882,25 @@ impl Vm {
                 Ok(Some(self.canary))
             }
             Intrinsic::GuardFail => {
-                let func = self.module.funcs[cur_func.0 as usize].name.clone();
                 if self.recorder.is_some() {
                     self.emit(Event::GuardCheck {
-                        func: cur_func.0,
+                        func,
                         kind: GuardKind::Word,
                         passed: false,
                     });
                 }
+                let func = self.compiled.module.funcs[func as usize].name.clone();
                 Err(FaultKind::GuardViolation { func })
             }
             Intrinsic::CanaryFail => {
-                let func = self.module.funcs[cur_func.0 as usize].name.clone();
                 if self.recorder.is_some() {
                     self.emit(Event::GuardCheck {
-                        func: cur_func.0,
+                        func,
                         kind: GuardKind::Canary,
                         passed: false,
                     });
                 }
+                let func = self.compiled.module.funcs[func as usize].name.clone();
                 Err(FaultKind::CanarySmashed { func })
             }
             Intrinsic::Exit => {
@@ -1413,7 +914,7 @@ impl Vm {
             Intrinsic::Join => self.sched_join(argv[0]),
             Intrinsic::AtomicLoad => {
                 let addr = argv[0];
-                self.charge_mem_for(cur_func, addr);
+                self.charge_mem(self.compiled.slab_classes[func as usize], addr);
                 let sync = self.cost.sync_op;
                 self.charge(CycleCategory::Mem, sync);
                 let v = self.mem.read_uint(addr, 8).map_err(FaultKind::Mem)?;
@@ -1424,7 +925,7 @@ impl Vm {
             }
             Intrinsic::AtomicStore => {
                 let (addr, val) = (argv[0], argv[1]);
-                self.charge_mem_for(cur_func, addr);
+                self.charge_mem(self.compiled.slab_classes[func as usize], addr);
                 let sync = self.cost.sync_op;
                 self.charge(CycleCategory::Mem, sync);
                 self.mem.write_uint(addr, val, 8).map_err(FaultKind::Mem)?;
@@ -1435,7 +936,7 @@ impl Vm {
             }
             Intrinsic::AtomicRmw => {
                 let (addr, val, op, ord) = (argv[0], argv[1], argv[2], argv[3]);
-                self.charge_mem_for(cur_func, addr);
+                self.charge_mem(self.compiled.slab_classes[func as usize], addr);
                 let sync = self.cost.sync_op;
                 self.charge(CycleCategory::Mem, sync);
                 let old = self.mem.read_uint(addr, 8).map_err(FaultKind::Mem)?;
@@ -1466,11 +967,12 @@ impl Vm {
 mod tests {
     use super::*;
     use crate::io::ScriptedInput;
-    use smokestack_ir::Builder;
+    use smokestack_ir::{Builder, CastKind, Function, Module, RegId, Type, Value};
 
     /// Non-deprecated stand-in for the old `Vm::new` in tests.
     fn vm_for(m: Module, cfg: VmConfig) -> Vm {
-        Vm::new_internal(Arc::new(m), cfg, None)
+        let exec = crate::Executor::for_module(m).build();
+        Vm::new_internal(exec.compiled(), cfg)
     }
 
     fn run_module(m: Module) -> RunOutcome {

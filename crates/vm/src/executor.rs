@@ -203,8 +203,9 @@ impl Executor {
     }
 
     /// Fork the session onto a different execution backend; the
-    /// compiled image carries over (and is simply unused under
-    /// [`ExecBackend::Interp`]).
+    /// compiled image carries over (under [`ExecBackend::Interp`] its
+    /// global layout and per-function tables are read, its bytecode is
+    /// not).
     pub fn with_backend(mut self, backend: ExecBackend) -> Executor {
         self.backend = backend;
         self
@@ -276,15 +277,11 @@ impl Executor {
     }
 
     /// Escape hatch: spawn a VM from an explicit [`VmConfig`] while
-    /// still reusing the session's compiled image where it applies (the
-    /// image is revalidated against the config's cost model and backend,
-    /// so any override is safe).
+    /// still reusing the session's compiled image (the image is
+    /// revalidated against the config's cost model, so any override is
+    /// safe).
     pub fn vm_with_config(&self, cfg: VmConfig) -> Vm {
-        let compiled = match cfg.backend {
-            ExecBackend::Bytecode => Some(self.compiled()),
-            ExecBackend::Interp => None,
-        };
-        Vm::new_internal(Arc::clone(&self.module), cfg, compiled)
+        Vm::new_internal(self.compiled(), cfg)
     }
 
     /// Run `main` once with the session defaults.

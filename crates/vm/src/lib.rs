@@ -22,16 +22,24 @@
 //!
 //! # Execution backends
 //!
-//! Two engines execute the same IR with bit-identical results
+//! Two backends execute the same IR with bit-identical results
 //! ([`RunOutcome`] equality — output events, exit/fault class, cycle
-//! and instruction totals):
+//! and instruction totals). They share one execution core: frames and
+//! the register file, the thread driver, the budget step (fuel, then
+//! preemption, then the instruction count), alloca, call and return,
+//! indirect-callee resolution, intrinsics and memory access. They
+//! differ only in how they fetch and decode an instruction and evaluate
+//! its operands:
 //!
-//! * [`ExecBackend::Bytecode`] (default) lowers the module once to a
-//!   flat bytecode ([`CompiledModule`], cached process-wide per
-//!   module + cost-model fingerprint) and replays it with a reusable
-//!   register file and call stack;
-//! * [`ExecBackend::Interp`] is the original tree-walking interpreter,
-//!   retained as the semantic reference for differential testing.
+//! * [`ExecBackend::Bytecode`] (default) decodes a flat bytecode lowered
+//!   once per module ([`CompiledModule`], cached process-wide per
+//!   module + cost-model fingerprint);
+//! * [`ExecBackend::Interp`] decodes the IR as built, pricing each
+//!   instruction per execution, and is kept as the differential oracle
+//!   for lowering and decode.
+//!
+//! Both read the module's global layout, rodata image and per-function
+//! tables from the one [`CompiledModule`].
 //!
 //! # Examples
 //!
@@ -60,7 +68,9 @@ mod cycles;
 mod dispatch;
 mod exec;
 mod executor;
+mod interp;
 mod io;
+mod machine;
 mod mem;
 mod report;
 mod sched;

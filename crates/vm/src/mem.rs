@@ -338,6 +338,7 @@ impl Memory {
             })
             .min_by_key(|(d, _)| *d)
             .map(|(_, locus)| locus)
+            // Invariant: `Memory::new` always maps all four segments.
             .expect("segment map is non-empty")
     }
 

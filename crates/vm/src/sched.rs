@@ -33,7 +33,6 @@ use smokestack_srng::{build_source, RandomSource, SeededTrng, XorShift64};
 use smokestack_telemetry::CycleCategory;
 
 use crate::exec::{Exit, FaultKind, Vm};
-use crate::mem::layout;
 
 /// Per-thread stack slab size (carved from the bottom of the stack
 /// segment; the main thread keeps everything above the watermark).
@@ -66,18 +65,6 @@ pub(crate) fn thread_seed(trng_seed: u64, tid: u64) -> u64 {
     x ^= x >> 27;
     x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
-}
-
-/// Why an execution slice ended (returned by both backends' inner
-/// loops to their thread drivers).
-pub(crate) enum SliceEnd {
-    /// The thread finished (or the program exited / faulted).
-    Exit(Exit),
-    /// The quantum expired at a preemption point.
-    Preempt,
-    /// The thread blocked in an intrinsic (which was rewound and will
-    /// re-execute when the thread wakes).
-    Block,
 }
 
 /// What a blocked thread is waiting for.
@@ -280,51 +267,42 @@ impl SchedState {
 }
 
 impl Vm {
-    /// Create the scheduler on first use, registering the caller as
-    /// thread 0 and arming the first preemption point.
-    pub(crate) fn ensure_sched(&mut self) {
-        if self.sched.is_some() {
-            return;
-        }
-        let mut s = SchedState::new(self.sched_seed, self.detect_races, self.mem.stack_base());
-        s.threads.push(ThreadState {
-            status: ThreadStatus::Runnable,
-            entry: FuncId(0),
-            arg: 0,
-            sp: self.sp,
-            stack_limit: self.stack_limit,
-            rng: None,
-            result: 0,
+    /// The scheduler, created on first use: registers the caller as
+    /// thread 0 and arms the first preemption point.
+    pub(crate) fn ensure_sched(&mut self) -> &mut SchedState {
+        let mut first_quantum = None;
+        let s = self.sched.get_or_insert_with(|| {
+            let mut s = SchedState::new(self.sched_seed, self.detect_races, self.mem.stack_base());
+            s.threads.push(ThreadState {
+                status: ThreadStatus::Runnable,
+                entry: FuncId(0),
+                arg: 0,
+                sp: self.sp,
+                stack_limit: self.stack_limit,
+                rng: None,
+                result: 0,
+            });
+            if let Some(d) = &mut s.detector {
+                d.vcs.push(vec![1]);
+            }
+            first_quantum = Some(s.next_quantum());
+            Box::new(s)
         });
-        if let Some(d) = &mut s.detector {
-            d.vcs.push(vec![1]);
+        if let Some(q) = first_quantum {
+            self.next_preempt = self.insts + q;
         }
-        self.sched = Some(Box::new(s));
-        let q = self
-            .sched
-            .as_deref_mut()
-            .expect("sched just created")
-            .next_quantum();
-        self.next_preempt = self.insts + q;
+        s
     }
 
     /// `spawn(fn_addr, arg)`: decode the entry function, carve a slab,
     /// and register the new thread. Returns the thread id.
     pub(crate) fn sched_spawn(&mut self, fn_addr: u64, arg: u64) -> Result<u64, FaultKind> {
-        let off = fn_addr.wrapping_sub(layout::CODE_BASE);
-        if !off.is_multiple_of(16) || (off / 16) as usize >= self.module.funcs.len() {
-            return Err(FaultKind::BadIndirectCall(fn_addr));
-        }
-        let fid = FuncId((off / 16) as u32);
-        if self.module.func(fid).params.len() != 1 {
-            return Err(FaultKind::BadIndirectCall(fn_addr));
-        }
-        self.ensure_sched();
+        let fid = FuncId(self.resolve_callee(fn_addr, 1)?);
         let scheme = self.scheme;
         let trng_seed = self.trng_seed;
         let spawn_cost = self.cost.thread_spawn;
 
-        let s = self.sched.as_deref_mut().expect("sched");
+        let s = self.ensure_sched();
         if s.threads.len() >= MAX_THREADS {
             return Err(FaultKind::StackOverflow);
         }
@@ -359,9 +337,8 @@ impl Vm {
     /// `join(tid)`: return the target's result if it finished, or block
     /// the caller (`Ok(None)` with `pending_block` set).
     pub(crate) fn sched_join(&mut self, tid: u64) -> Result<Option<u64>, FaultKind> {
-        self.ensure_sched();
         let sync_cost = self.cost.sync_op;
-        let s = self.sched.as_deref_mut().expect("sched");
+        let s = self.ensure_sched();
         let cur = s.cur;
         let t = tid as usize;
         if tid == 0 || t >= s.threads.len() || t == cur {
@@ -387,9 +364,8 @@ impl Vm {
 
     /// `mutex_lock(addr)`: acquire or block.
     pub(crate) fn sched_mutex_lock(&mut self, addr: u64) {
-        self.ensure_sched();
         let sync_cost = self.cost.sync_op;
-        let s = self.sched.as_deref_mut().expect("sched");
+        let s = self.ensure_sched();
         let cur = s.cur;
         let m = s.mutexes.entry(addr).or_insert(MutexState { owner: None });
         match m.owner {
@@ -412,9 +388,8 @@ impl Vm {
     /// `mutex_unlock(addr)`: release and wake waiters (no-op when the
     /// caller does not hold the mutex).
     pub(crate) fn sched_mutex_unlock(&mut self, addr: u64) {
-        self.ensure_sched();
         let sync_cost = self.cost.sync_op;
-        let s = self.sched.as_deref_mut().expect("sched");
+        let s = self.ensure_sched();
         let cur = s.cur;
         let Some(m) = s.mutexes.get_mut(&addr) else {
             return;
@@ -489,7 +464,12 @@ impl Vm {
             Exit::ReturnVoid => 0,
             other => return Some(other),
         };
-        let s = self.sched.as_deref_mut().expect("sched");
+        // Invariant: only a worker thread finishes here, and workers
+        // exist only once the scheduler does.
+        let s = self
+            .sched
+            .as_deref_mut()
+            .expect("a worker implies a scheduler");
         s.threads[tid].status = ThreadStatus::Finished;
         s.threads[tid].result = val;
         s.threads[tid].rng = None;

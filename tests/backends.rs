@@ -384,3 +384,113 @@ fn compiled_cache_is_keyed_by_module_and_cost() {
     let exec = Executor::for_module(Arc::clone(&m)).build();
     assert!(Arc::ptr_eq(&a, &exec.compiled()));
 }
+
+/// Run a hand-built module's `main` under both backends, assert the two
+/// runs are identical, and return the interpreter's.
+fn run_both(label: &str, module: smokestack_ir::Module) -> RunOutcome {
+    let module = Arc::new(module);
+    let interp = run_once(&module, SchemeKind::Aes10, ExecBackend::Interp, 1, &[]);
+    let bytecode = run_once(&module, SchemeKind::Aes10, ExecBackend::Bytecode, 1, &[]);
+    assert_identical(label, &interp, &bytecode);
+    assert_eq!(
+        interp.sched_digest, bytecode.sched_digest,
+        "{label}: schedule"
+    );
+    interp
+}
+
+/// Unbounded recursion that never allocates stack still stops at the
+/// call-depth cap, as a stack overflow, at the same instruction on both
+/// backends.
+#[test]
+fn call_depth_cap_faults_identically_without_allocas() {
+    use smokestack_ir::{Builder, FuncId, Function, Type, Value};
+    use smokestack_vm::{Exit, FaultKind};
+
+    let mut m = Module::new();
+    let rec_id = FuncId(0);
+    let mut rec = Function::new("rec", vec![Type::I64], Type::I64);
+    {
+        let mut b = Builder::new(&mut rec);
+        let n = b.add64(Value::Reg(smokestack_ir::RegId(0)), Value::i64(1));
+        let r = b.call(rec_id, Type::I64, vec![n.into()]).unwrap();
+        b.ret(Some(r.into()));
+    }
+    assert_eq!(m.add_func(rec), rec_id);
+    let mut main = Function::new("main", vec![], Type::I64);
+    {
+        let mut b = Builder::new(&mut main);
+        let r = b.call(rec_id, Type::I64, vec![Value::i64(0)]).unwrap();
+        b.ret(Some(r.into()));
+    }
+    m.add_func(main);
+    smokestack_ir::assert_verified(&m);
+
+    let out = run_both("depth cap", m);
+    assert_eq!(out.exit, Exit::Fault(FaultKind::StackOverflow));
+    assert_eq!(out.max_call_depth, 100_000);
+}
+
+/// An indirect call through a valid function address with the wrong
+/// number of arguments is a bad indirect call on both backends.
+#[test]
+fn indirect_call_arity_mismatch_faults_identically() {
+    use smokestack_ir::{Builder, Function, Type, Value};
+    use smokestack_vm::{Exit, FaultKind};
+
+    let mut m = Module::new();
+    let mut cb = Function::new("takes_one", vec![Type::I64], Type::I64);
+    Builder::new(&mut cb).ret(Some(Value::i64(5)));
+    let cb = m.add_func(cb);
+    let mut main = Function::new("main", vec![], Type::I64);
+    {
+        // Route the pointer through memory so only the runtime sees it.
+        let mut b = Builder::new(&mut main);
+        let slot = b.alloca(Type::Ptr, "fp");
+        b.store(Type::Ptr, Value::Func(cb), slot.into());
+        let fp = b.load(Type::Ptr, slot.into());
+        let r = b.call_indirect(fp.into(), Type::I64, vec![]).unwrap();
+        b.ret(Some(r.into()));
+    }
+    m.add_func(main);
+
+    let out = run_both("indirect arity", m);
+    assert!(
+        matches!(out.exit, Exit::Fault(FaultKind::BadIndirectCall(_))),
+        "{:?}",
+        out.exit
+    );
+}
+
+/// A spawned thread whose alloca runs past the bottom of its stack slab
+/// overflows — and ends the run — identically on both backends.
+#[test]
+fn worker_alloca_past_its_slab_faults_identically() {
+    use smokestack_ir::{Builder, Function, Intrinsic, Type, Value};
+    use smokestack_vm::{Exit, FaultKind, THREAD_SLAB};
+
+    let mut m = Module::new();
+    let mut worker = Function::new("worker", vec![Type::I64], Type::I64);
+    {
+        let mut b = Builder::new(&mut worker);
+        let big = b.alloca(Type::array(Type::I8, THREAD_SLAB + 16), "big");
+        b.store(Type::I64, Value::i64(1), big.into());
+        b.ret(Some(Value::i64(0)));
+    }
+    let worker = m.add_func(worker);
+    let mut main = Function::new("main", vec![], Type::I64);
+    {
+        let mut b = Builder::new(&mut main);
+        let tid = b
+            .call_intrinsic(Intrinsic::Spawn, vec![Value::Func(worker), Value::i64(0)])
+            .unwrap();
+        let r = b.call_intrinsic(Intrinsic::Join, vec![tid.into()]).unwrap();
+        b.ret(Some(r.into()));
+    }
+    m.add_func(main);
+    smokestack_ir::assert_verified(&m);
+
+    let out = run_both("worker slab overflow", m);
+    assert_eq!(out.exit, Exit::Fault(FaultKind::StackOverflow));
+    assert_ne!(out.sched_digest, 0, "the worker never ran");
+}
