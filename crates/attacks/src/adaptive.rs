@@ -1,6 +1,6 @@
 //! Extension experiment: the **adaptive same-invocation** attack — the
 //! residual risk the paper itself acknowledges in its conclusion:
-//! Smokestack "forc[es] the attacker to reverse engineer a function
+//! Smokestack "forc\[es\] the attacker to reverse engineer a function
 //! frame and deliver a payload in the same invocation."
 //!
 //! This adversary does exactly that. The victim is a long-lived session

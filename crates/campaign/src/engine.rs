@@ -1,9 +1,9 @@
 //! The parallel Monte-Carlo trial engine.
 //!
 //! A campaign is a grid of `(attack, defense, trial)` cells flattened
-//! into one task list, fanned across a [`WorkQueue`] of scoped worker
-//! threads. Three properties make the parallelism safe *and* the
-//! results reproducible:
+//! into one task list, fanned across a [`WorkQueue`](crate::WorkQueue)
+//! of scoped worker threads. Three properties make the parallelism safe
+//! *and* the results reproducible:
 //!
 //! * **Per-trial seeds are positional, not temporal.** Every trial's
 //!   campaign seed is split off the plan's master seed by `(cell,

@@ -1,6 +1,6 @@
 //! In-workspace replacement for the small slice of the external `rand`
 //! crate this workspace used: seedable generation, byte filling, ranges,
-//! shuffling, and best-effort OS entropy.
+//! and shuffling.
 //!
 //! The workspace must build in registry-less environments (no crates.io
 //! access at all), so even an optional external dependency is too much —
@@ -66,11 +66,6 @@ impl Rng {
             s[0] = 0x9e37_79b9_7f4a_7c15;
         }
         Rng { s }
-    }
-
-    /// Generator seeded from OS entropy (drop-in for `OsRng` uses).
-    pub fn from_os_entropy() -> Rng {
-        Rng::seed_from_u64(os_seed())
     }
 
     /// Next 64-bit output (xoshiro256++ scrambler).
@@ -203,40 +198,6 @@ impl SeedStream {
     }
 }
 
-/// Best-effort OS entropy for a 64-bit seed: `/dev/urandom` where
-/// available, otherwise a hash of the current time, the process id, and
-/// an ASLR-influenced stack address. Good enough for the simulated
-/// "true" RNG backing `OsTrueRandom`; nothing cryptographic rests on it.
-pub fn os_seed() -> u64 {
-    use std::io::Read;
-    if let Ok(mut f) = std::fs::File::open("/dev/urandom") {
-        let mut buf = [0u8; 8];
-        if f.read_exact(&mut buf).is_ok() {
-            return u64::from_le_bytes(buf);
-        }
-    }
-    let t = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0);
-    let pid = std::process::id() as u64;
-    let local = 0u8;
-    let addr = &local as *const u8 as u64;
-    let mut sm = SplitMix64::new(t ^ (pid << 32) ^ addr.rotate_left(17));
-    sm.next_u64()
-}
-
-/// Fill `buf` from OS entropy (drop-in for `OsRng::fill_bytes`).
-pub fn os_fill_bytes(buf: &mut [u8]) {
-    use std::io::Read;
-    if let Ok(mut f) = std::fs::File::open("/dev/urandom") {
-        if f.read_exact(buf).is_ok() {
-            return;
-        }
-    }
-    Rng::seed_from_u64(os_seed()).fill_bytes(buf);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,12 +293,6 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), n, "cross-domain or cross-index collision");
-    }
-
-    #[test]
-    fn os_seed_varies() {
-        // Two draws of OS entropy should essentially never collide.
-        assert_ne!(os_seed(), os_seed());
     }
 
     #[test]

@@ -15,7 +15,13 @@
 //! * [`Aes128Ctr`] is AES-128 counter mode built on a from-scratch
 //!   FIPS-197 [`Aes128`] core, with 1-round ("AES-1") and 10-round
 //!   ("AES-10") configurations and periodic true-random re-keying.
-//! * [`Rdrand`] models the on-chip true random number generator.
+//! * RDRAND, the on-chip true random number generator, is modelled by
+//!   drawing straight from the [`SeededTrng`] that keys the others.
+//!
+//! [`build_source`] builds any of the four as one [`EntropySource`]
+//! value; nothing is boxed, so a VM re-keys by assigning a new one.
+//! The TRNG is deterministic and explicitly seeded, so every run is
+//! replayable from its seed.
 //!
 //! Hardware latency is *modelled*, not measured: [`SchemeKind`] carries
 //! the paper's per-invocation cycle costs so the VM can charge them to
@@ -41,6 +47,6 @@ mod source;
 mod trng;
 
 pub use aes::Aes128;
-pub use schemes::{build_source, Aes128Ctr, Rdrand, XorShift64};
-pub use source::{RandomSource, SchemeKind, SecurityLevel};
-pub use trng::{OsTrueRandom, SeededTrng, TrueRandom};
+pub use schemes::{build_source, Aes128Ctr, EntropySource, XorShift64};
+pub use source::{SchemeKind, SecurityLevel};
+pub use trng::SeededTrng;

@@ -2,8 +2,8 @@
 //! PRNG, AES-128 CTR (1 and 10 rounds), and simulated RDRAND.
 
 use crate::aes::Aes128;
-use crate::source::{RandomSource, SchemeKind};
-use crate::trng::TrueRandom;
+use crate::source::SchemeKind;
+use crate::trng::SeededTrng;
 
 /// The insecure, memory-based PRNG ("pseudo" in the paper).
 ///
@@ -99,20 +99,6 @@ fn invert_xorshift_left(mut v: u64, shift: u32) -> u64 {
     v
 }
 
-impl RandomSource for XorShift64 {
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::Pseudo
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    fn disclosable_state(&self) -> Option<u64> {
-        Some(self.state)
-    }
-}
-
 /// AES-128 counter-mode generator with a configurable round count.
 ///
 /// Key and nonce are held **outside** the simulated data memory (the
@@ -125,7 +111,7 @@ impl RandomSource for XorShift64 {
 /// unprotected or canary VM is handed one) costs two TRNG fills, not
 /// an AES key expansion. The TRNG draw order, and so the keystream,
 /// is the same either way.
-pub struct Aes128Ctr<T: TrueRandom> {
+pub struct Aes128Ctr {
     key: [u8; 16],
     /// `key`'s expanded schedule; `None` until the first draw under it.
     aes: Option<Aes128>,
@@ -134,12 +120,22 @@ pub struct Aes128Ctr<T: TrueRandom> {
     rounds: u32,
     rekey_interval: u32,
     draws: u32,
-    trng: T,
+    trng: SeededTrng,
     /// One encrypted block yields two u64 outputs; the spare is cached.
     spare: Option<u64>,
 }
 
-impl<T: TrueRandom> Aes128Ctr<T> {
+/// Draw a fresh key, then a nonce whose low 32 bits are cleared for
+/// the block counter: the one keying step of construction and rekey.
+fn draw_key(trng: &mut SeededTrng) -> ([u8; 16], u128) {
+    let mut key = [0u8; 16];
+    trng.fill(&mut key);
+    let mut nonce = [0u8; 16];
+    trng.fill(&mut nonce);
+    (key, u128::from_le_bytes(nonce) & !0xffff_ffff)
+}
+
+impl Aes128Ctr {
     /// Default number of draws between re-keys.
     pub const DEFAULT_REKEY_INTERVAL: u32 = 1 << 20;
 
@@ -149,16 +145,13 @@ impl<T: TrueRandom> Aes128Ctr<T> {
     /// # Panics
     ///
     /// Panics unless `1 <= rounds <= 10`.
-    pub fn new(rounds: u32, mut trng: T) -> Aes128Ctr<T> {
+    pub fn new(rounds: u32, mut trng: SeededTrng) -> Aes128Ctr {
         assert!((1..=10).contains(&rounds), "rounds must be in 1..=10");
-        let mut key = [0u8; 16];
-        trng.fill(&mut key);
-        let mut nonce_bytes = [0u8; 16];
-        trng.fill(&mut nonce_bytes);
+        let (key, nonce) = draw_key(&mut trng);
         Aes128Ctr {
             key,
             aes: None,
-            nonce: u128::from_le_bytes(nonce_bytes) & !0xffff_ffff,
+            nonce,
             counter: 0,
             rounds,
             rekey_interval: Self::DEFAULT_REKEY_INTERVAL,
@@ -169,40 +162,21 @@ impl<T: TrueRandom> Aes128Ctr<T> {
     }
 
     /// Override the re-key interval (draws between fresh key/nonce).
-    pub fn with_rekey_interval(mut self, interval: u32) -> Aes128Ctr<T> {
+    pub fn with_rekey_interval(mut self, interval: u32) -> Aes128Ctr {
         assert!(interval > 0, "rekey interval must be positive");
         self.rekey_interval = interval;
         self
     }
 
-    /// Number of AES rounds in use.
-    pub fn rounds(&self) -> u32 {
-        self.rounds
-    }
-
     fn rekey(&mut self) {
-        let mut key = [0u8; 16];
-        self.trng.fill(&mut key);
-        let mut nonce_bytes = [0u8; 16];
-        self.trng.fill(&mut nonce_bytes);
-        self.key = key;
+        (self.key, self.nonce) = draw_key(&mut self.trng);
         self.aes = None;
-        self.nonce = u128::from_le_bytes(nonce_bytes) & !0xffff_ffff;
         self.counter = 0;
         self.spare = None;
     }
-}
 
-impl<T: TrueRandom> RandomSource for Aes128Ctr<T> {
-    fn kind(&self) -> SchemeKind {
-        if self.rounds == 1 {
-            SchemeKind::Aes1
-        } else {
-            SchemeKind::Aes10
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
+    /// Draw the next 64-bit value.
+    pub fn next_u64(&mut self) -> u64 {
         if let Some(v) = self.spare.take() {
             return v;
         }
@@ -223,46 +197,51 @@ impl<T: TrueRandom> RandomSource for Aes128Ctr<T> {
     }
 }
 
-/// Simulated RDRAND: a fresh true-random value per invocation, at the
-/// modelled 265.6-cycle latency of the hardware instruction.
-pub struct Rdrand<T: TrueRandom> {
-    trng: T,
+/// The per-invocation entropy source serving `stack_rng`: one of the
+/// paper's four schemes, held by value so a respawn or thread spawn
+/// re-keys by assignment.
+///
+/// Its modelled hardware cost is reported separately through
+/// [`SchemeKind::cost_decicycles`] so the VM can charge it to the
+/// simulated cycle budget.
+// The AES variant is large (its expanded key schedule), but a source
+// lives in place for a VM's or a thread's lifetime; boxing it would put
+// an allocation back on every respawn and thread spawn.
+#[allow(clippy::large_enum_variant)]
+pub enum EntropySource {
+    /// The insecure memory-based PRNG ("pseudo").
+    Pseudo(XorShift64),
+    /// AES-128 CTR; its round count distinguishes AES-1 from AES-10.
+    Aes(Aes128Ctr),
+    /// Simulated RDRAND: a fresh true-random value per invocation, at
+    /// the modelled 265.6-cycle latency of the hardware instruction.
+    Rdrand(SeededTrng),
 }
 
-impl<T: TrueRandom> Rdrand<T> {
-    /// Wrap a true-random source.
-    pub fn new(trng: T) -> Rdrand<T> {
-        Rdrand { trng }
+impl EntropySource {
+    /// Draw the next 64-bit value.
+    pub fn next_u64(&mut self) -> u64 {
+        match self {
+            EntropySource::Pseudo(x) => x.next(),
+            EntropySource::Aes(a) => a.next_u64(),
+            EntropySource::Rdrand(t) => t.next_u64(),
+        }
     }
 }
 
-impl<T: TrueRandom> RandomSource for Rdrand<T> {
-    fn kind(&self) -> SchemeKind {
-        SchemeKind::Rdrand
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.trng.next_u64()
-    }
-}
-
-/// Build the scheme named by `kind`, seeded from a [`TrueRandom`] source.
-pub fn build_source<T: TrueRandom + 'static>(
-    kind: SchemeKind,
-    mut trng: T,
-) -> Box<dyn RandomSource> {
+/// Build the scheme named by `kind`, seeded from `trng`.
+pub fn build_source(kind: SchemeKind, mut trng: SeededTrng) -> EntropySource {
     match kind {
-        SchemeKind::Pseudo => Box::new(XorShift64::new(trng.next_u64())),
-        SchemeKind::Aes1 => Box::new(Aes128Ctr::new(1, trng)),
-        SchemeKind::Aes10 => Box::new(Aes128Ctr::new(10, trng)),
-        SchemeKind::Rdrand => Box::new(Rdrand::new(trng)),
+        SchemeKind::Pseudo => EntropySource::Pseudo(XorShift64::new(trng.next_u64())),
+        SchemeKind::Aes1 => EntropySource::Aes(Aes128Ctr::new(1, trng)),
+        SchemeKind::Aes10 => EntropySource::Aes(Aes128Ctr::new(10, trng)),
+        SchemeKind::Rdrand => EntropySource::Rdrand(trng),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trng::SeededTrng;
 
     #[test]
     fn xorshift_predictable_from_state() {
@@ -377,12 +356,7 @@ mod tests {
                 // The default interval: no rekey inside the window.
                 let mut lazy = Aes128Ctr::new(rounds, SeededTrng::new(seed));
                 let got: Vec<u64> = (0..16).map(|_| lazy.next_u64()).collect();
-                let want = eager_stream(
-                    rounds,
-                    seed,
-                    Aes128Ctr::<SeededTrng>::DEFAULT_REKEY_INTERVAL,
-                    16,
-                );
+                let want = eager_stream(rounds, seed, Aes128Ctr::DEFAULT_REKEY_INTERVAL, 16);
                 assert_eq!(got, want, "rounds {rounds}");
             }
         }
@@ -390,10 +364,8 @@ mod tests {
 
     #[test]
     fn rdrand_draws_fresh_values() {
-        let mut r = Rdrand::new(SeededTrng::new(7));
+        let mut r = build_source(SchemeKind::Rdrand, SeededTrng::new(7));
         assert_ne!(r.next_u64(), r.next_u64());
-        assert_eq!(r.kind(), SchemeKind::Rdrand);
-        assert_eq!(r.disclosable_state(), None);
     }
 
     #[test]
@@ -425,24 +397,5 @@ mod tests {
             seen.insert(g.next_u64() & mask);
         }
         assert_eq!(seen.len(), 8);
-    }
-
-    #[test]
-    fn build_source_kinds() {
-        for kind in SchemeKind::ALL {
-            let src = build_source(kind, SeededTrng::new(11));
-            assert_eq!(src.kind(), kind);
-        }
-    }
-
-    #[test]
-    fn only_pseudo_discloses_state() {
-        for kind in SchemeKind::ALL {
-            let src = build_source(kind, SeededTrng::new(2));
-            assert_eq!(
-                src.disclosable_state().is_some(),
-                kind == SchemeKind::Pseudo
-            );
-        }
     }
 }

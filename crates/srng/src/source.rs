@@ -1,4 +1,4 @@
-//! The `RandomSource` abstraction and the paper's four schemes.
+//! The paper's four schemes and their Table I costs and security levels.
 
 use std::fmt;
 
@@ -87,28 +87,6 @@ impl SchemeKind {
 impl fmt::Display for SchemeKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-/// A per-invocation entropy source for stack-layout permutation.
-///
-/// Implementations must be cheap to call; the *modelled* hardware cost is
-/// reported separately through [`SchemeKind::cost_decicycles`] so the VM
-/// can charge it to the simulated cycle budget.
-pub trait RandomSource {
-    /// Which scheme this is.
-    fn kind(&self) -> SchemeKind;
-
-    /// Draw the next 64-bit value.
-    fn next_u64(&mut self) -> u64;
-
-    /// For schemes whose working state lives in ordinary data memory
-    /// (only `pseudo`), expose that state so the VM can mirror it into
-    /// attacker-readable memory, faithfully modelling the paper's
-    /// "memory-based PRNG is unsafe" argument. Returns `None` for
-    /// disclosure-resistant schemes.
-    fn disclosable_state(&self) -> Option<u64> {
-        None
     }
 }
 

@@ -1,44 +1,14 @@
-//! True-random seeding sources.
+//! The true-random seeding source.
 //!
 //! The paper seeds its AES generator (key + nonce) from a true-random
 //! source and re-seeds when a universal call counter hits a maximum. For
-//! reproducible experiments we also provide a deterministic "lab bench"
+//! reproducible experiments that source is a deterministic "lab bench"
 //! TRNG seeded explicitly.
 
 use smokestack_rand::Rng;
 
-/// A source of true-random bytes used for keys, nonces, guard keys, and
-/// load-time identifiers.
-pub trait TrueRandom {
-    /// Fill `buf` with entropy.
-    fn fill(&mut self, buf: &mut [u8]);
-
-    /// Draw a true-random `u64`.
-    fn next_u64(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.fill(&mut b);
-        u64::from_le_bytes(b)
-    }
-}
-
-/// Operating-system entropy (the analog of `/dev/random` / RDSEED).
-#[derive(Debug, Default)]
-pub struct OsTrueRandom;
-
-impl OsTrueRandom {
-    /// Construct.
-    pub fn new() -> OsTrueRandom {
-        OsTrueRandom
-    }
-}
-
-impl TrueRandom for OsTrueRandom {
-    fn fill(&mut self, buf: &mut [u8]) {
-        smokestack_rand::os_fill_bytes(buf);
-    }
-}
-
-/// Deterministic TRNG stand-in for reproducible experiments and tests.
+/// Deterministic TRNG stand-in for reproducible experiments and tests:
+/// the source of keys, nonces, guard keys, canaries and RDRAND values.
 ///
 /// Security analyses in this repo run attacks thousands of times; a fixed
 /// seed makes failures replayable while the *program under test* still
@@ -51,26 +21,22 @@ impl SeededTrng {
     pub fn new(seed: u64) -> SeededTrng {
         SeededTrng(Rng::seed_from_u64(seed))
     }
-}
 
-impl TrueRandom for SeededTrng {
-    fn fill(&mut self, buf: &mut [u8]) {
+    /// Fill `buf` with entropy.
+    pub fn fill(&mut self, buf: &mut [u8]) {
         self.0.fill_bytes(buf);
+    }
+
+    /// Draw a true-random `u64` (the little-endian value of an
+    /// eight-byte [`SeededTrng::fill`]).
+    pub fn next_u64(&mut self) -> u64 {
+        self.0.next_u64()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn os_trng_produces_bytes() {
-        let mut t = OsTrueRandom::new();
-        let a = t.next_u64();
-        let b = t.next_u64();
-        // Astronomically unlikely to be equal.
-        assert_ne!(a, b);
-    }
 
     #[test]
     fn seeded_trng_reproducible() {

@@ -100,7 +100,7 @@ impl<W: Write> Drop for LineJournal<W> {
 /// threads.
 ///
 /// Monte-Carlo campaigns and the multi-tenant server need every worker
-/// streaming records into one journal. `SharedJsonlSink` wraps a [`LineJournal`]
+/// streaming records into one journal. `SharedJsonlSink` wraps a `LineJournal`
 /// in an `Arc<Mutex<_>>`: clones are cheap handles to the same journal,
 /// the lock is held per line (format outside, buffer inside), and bytes
 /// reach the underlying writer only in whole-line batches — a reader

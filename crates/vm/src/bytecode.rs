@@ -15,15 +15,15 @@
 //!   width, globals become absolute addresses, function references
 //!   become code-segment addresses);
 //! * every instruction's cost-model row is interned into the
-//!   instruction itself, so the dispatcher never consults the
-//!   [`CostModel`] at runtime;
+//!   instruction itself, so the dispatcher never looks one up in
+//!   [`COST`] at runtime;
 //! * module-level prescans (global layout, slab classification, P-BOX
 //!   draw recovery) are captured in the [`CompiledModule`] and shared by
 //!   every VM spawned from it, under either backend.
 //!
 //! Compiled modules are memoized in a process-wide cache keyed by
-//! `(module identity, cost-model fingerprint)` so campaign and fuzz
-//! trials compile once and replay thousands of times.
+//! module identity, so campaign and fuzz trials compile once and
+//! replay thousands of times.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
@@ -33,7 +33,7 @@ use smokestack_ir::{
     RegId, Terminator, Value,
 };
 
-use crate::cycles::{CostModel, SlabClass};
+use crate::cycles::{SlabClass, COST};
 use crate::mem::layout;
 
 /// Which execution engine a [`crate::Vm`] uses.
@@ -267,14 +267,13 @@ pub(crate) fn layout_globals(module: &Module) -> GlobalLayout {
 #[derive(Debug)]
 pub struct CompiledModule {
     pub(crate) module: Arc<Module>,
-    pub(crate) cost_fp: u64,
     pub(crate) funcs: Vec<BcFunc>,
     /// Shared with every VM spawned from this image, so a spawn never
     /// deep-copies the loader image; the rodata image (the P-BOX
     /// included) is mapped, not copied.
     pub(crate) globals: Arc<GlobalLayout>,
-    /// Per-function slab class under the cost model this was compiled
-    /// with (drives the stack-access discount/penalty).
+    /// Per-function slab class (drives the stack-access
+    /// discount/penalty).
     pub(crate) slab_classes: Vec<SlabClass>,
     /// Per-function P-BOX slab-draw register and mask (telemetry).
     pub(crate) pbox_draws: Vec<Option<(RegId, u64)>>,
@@ -286,12 +285,6 @@ impl CompiledModule {
     /// The IR module this image was lowered from.
     pub fn module(&self) -> &Arc<Module> {
         &self.module
-    }
-
-    /// Cost-model fingerprint the per-instruction costs were interned
-    /// with.
-    pub fn cost_fingerprint(&self) -> u64 {
-        self.cost_fp
     }
 
     /// Total bytecode instructions across all functions (diagnostics).
@@ -314,7 +307,6 @@ fn fold(v: &Value, globals: &GlobalLayout) -> Opnd {
 fn lower_func(
     f: &Function,
     globals: &GlobalLayout,
-    cost: &CostModel,
     names: &mut Vec<String>,
     name_ids: &mut HashMap<String, u32>,
 ) -> BcFunc {
@@ -340,7 +332,7 @@ fn lower_func(
     let mut code = Vec::with_capacity(pc as usize);
     for (_, b) in f.iter_blocks() {
         for inst in &b.insts {
-            let c = cost.inst_cost(inst);
+            let c = COST.inst_cost(inst);
             code.push(match inst {
                 Inst::Alloca {
                     result,
@@ -472,7 +464,7 @@ fn lower_func(
                 }
             });
         }
-        let tc = cost.term_cost(&b.term);
+        let tc = COST.term_cost(&b.term);
         code.push(match &b.term {
             Terminator::Br(t) => BcInst::Br {
                 target: block_pc[t.0 as usize],
@@ -503,7 +495,7 @@ fn lower_func(
 }
 
 /// Prescan: per-function `__ss_slab` size, classified by the cost model.
-pub(crate) fn classify_slabs(module: &Module, cost: &CostModel) -> Vec<SlabClass> {
+pub(crate) fn classify_slabs(module: &Module) -> Vec<SlabClass> {
     module
         .funcs
         .iter()
@@ -517,7 +509,7 @@ pub(crate) fn classify_slabs(module: &Module, cost: &CostModel) -> Vec<SlabClass
                 } if name == "__ss_slab" => Some(ty.size()),
                 _ => None,
             });
-            cost.classify_slab(slab_size)
+            COST.classify_slab(slab_size)
         })
         .collect()
 }
@@ -564,21 +556,20 @@ pub(crate) fn find_pbox_draw(f: &Function) -> Option<(RegId, u64)> {
     None
 }
 
-/// Lower `module` under `cost`. Prefer [`compiled_for`], which memoizes.
-pub fn compile_module(module: Arc<Module>, cost: &CostModel) -> CompiledModule {
+/// Lower `module`. Prefer [`compiled_for`], which memoizes.
+pub fn compile_module(module: Arc<Module>) -> CompiledModule {
     let globals = layout_globals(&module);
     let mut alloca_names = Vec::new();
     let mut name_ids = HashMap::new();
     let funcs = module
         .funcs
         .iter()
-        .map(|f| lower_func(f, &globals, cost, &mut alloca_names, &mut name_ids))
+        .map(|f| lower_func(f, &globals, &mut alloca_names, &mut name_ids))
         .collect();
-    let slab_classes = classify_slabs(&module, cost);
+    let slab_classes = classify_slabs(&module);
     let pbox_draws = module.funcs.iter().map(find_pbox_draw).collect();
     CompiledModule {
         module,
-        cost_fp: cost.fingerprint(),
         funcs,
         globals: Arc::new(globals),
         slab_classes,
@@ -587,21 +578,19 @@ pub fn compile_module(module: Arc<Module>, cost: &CostModel) -> CompiledModule {
     }
 }
 
-type CacheKey = (usize, u64);
-
 /// One cache entry. The first caller for a key fills the slot outside
 /// the map lock; later callers for the same key wait on the slot, so
 /// different modules lower concurrently and one module lowers once.
 type Slot = Arc<OnceLock<Weak<CompiledModule>>>;
 
-fn cache() -> &'static Mutex<HashMap<CacheKey, Slot>> {
-    static CACHE: OnceLock<Mutex<HashMap<CacheKey, Slot>>> = OnceLock::new();
+/// Keyed by the module's `Arc` pointer.
+fn cache() -> &'static Mutex<HashMap<usize, Slot>> {
+    static CACHE: OnceLock<Mutex<HashMap<usize, Slot>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 /// Compile-once cache: returns the memoized [`CompiledModule`] for this
-/// exact `Arc<Module>` and cost-model fingerprint, lowering on first
-/// use. Entries are weak, so a compiled image lives exactly as long as
+/// exact `Arc<Module>`, lowering on first use. Entries are weak, so a compiled image lives exactly as long as
 /// someone (an [`crate::Executor`], a [`crate::Vm`]) holds it. The
 /// process-wide lock is held only to look a key up, never across
 /// lowering.
@@ -609,8 +598,8 @@ fn cache() -> &'static Mutex<HashMap<CacheKey, Slot>> {
 /// Keying by `Arc` pointer identity is sound because the returned image
 /// holds the module `Arc`: as long as a cache entry is upgradeable, no
 /// new module can occupy that address.
-pub fn compiled_for(module: &Arc<Module>, cost: &CostModel) -> Arc<CompiledModule> {
-    let key = (Arc::as_ptr(module) as usize, cost.fingerprint());
+pub fn compiled_for(module: &Arc<Module>) -> Arc<CompiledModule> {
+    let key = Arc::as_ptr(module) as usize;
     loop {
         let slot = {
             // Every map operation below leaves the map consistent (no
@@ -623,7 +612,7 @@ pub fn compiled_for(module: &Arc<Module>, cost: &CostModel) -> Arc<CompiledModul
         };
         let mut lowered = None;
         let image = slot.get_or_init(|| {
-            let c = Arc::new(compile_module(Arc::clone(module), cost));
+            let c = Arc::new(compile_module(Arc::clone(module)));
             let image = Arc::downgrade(&c);
             lowered = Some(c);
             image
@@ -656,54 +645,35 @@ mod tests {
     #[test]
     fn lowering_counts_terminators_as_instructions() {
         let m = sample();
-        let c = compile_module(Arc::clone(&m), &CostModel::default());
+        let c = compile_module(Arc::clone(&m));
         // 3 insts + 1 terminator in the single block.
         assert_eq!(c.code_len(), 4);
         assert!(matches!(c.funcs[0].code[3], BcInst::Ret { .. }));
     }
 
     #[test]
-    fn cache_returns_same_arc_for_same_fingerprint() {
+    fn cache_returns_same_arc_for_same_module() {
         let m = sample();
-        let cost = CostModel::default();
-        let a = compiled_for(&m, &cost);
-        let b = compiled_for(&m, &cost);
-        assert!(Arc::ptr_eq(&a, &b), "identical fingerprints must hit");
-        // A different cost model is a different image.
-        let other = CostModel {
-            alu: 21,
-            ..CostModel::default()
-        };
-        let c = compiled_for(&m, &other);
-        assert!(!Arc::ptr_eq(&a, &c), "cost change must miss");
+        let a = compiled_for(&m);
+        let b = compiled_for(&m);
+        assert!(Arc::ptr_eq(&a, &b), "the same module must hit");
     }
 
     #[test]
     fn concurrent_first_uses_of_one_module_share_one_image() {
         let m = sample();
-        let cost = CostModel::default();
         let start = std::sync::Barrier::new(4);
         let images: Vec<Arc<CompiledModule>> = std::thread::scope(|s| {
             let workers: Vec<_> = (0..4)
                 .map(|_| {
                     s.spawn(|| {
                         start.wait();
-                        compiled_for(&m, &cost)
+                        compiled_for(&m)
                     })
                 })
                 .collect();
             workers.into_iter().map(|w| w.join().unwrap()).collect()
         });
         assert!(images.iter().all(|c| Arc::ptr_eq(c, &images[0])));
-    }
-
-    #[test]
-    fn cost_fingerprint_distinguishes_every_field() {
-        let base = CostModel::default().fingerprint();
-        let bumped = CostModel {
-            per_byte_scan: 3,
-            ..CostModel::default()
-        };
-        assert_ne!(base, bumped.fingerprint());
     }
 }

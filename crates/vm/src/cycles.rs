@@ -138,8 +138,8 @@ impl AddAssign for CycleBreakdown {
     }
 }
 
-/// Cost model parameters. [`CostModel::default`] matches the calibration
-/// used by all experiments.
+/// Cost model parameters; [`COST`] holds the one calibration every
+/// experiment runs under.
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel {
     /// Fixed-size `alloca` (stack-pointer bump + bookkeeping).
@@ -185,31 +185,28 @@ pub struct CostModel {
     pub rng_contention: u64,
 }
 
-impl Default for CostModel {
-    fn default() -> CostModel {
-        CostModel {
-            alloca: 24,
-            alloca_vla: 48,
-            mem_access: 20,
-            mem_access_compact: 19,
-            mem_access_huge: 23,
-            alu: 20,
-            cast: 10,
-            branch: 20,
-            call: 40,
-            ret: 20,
-            intrinsic_base: 30,
-            per_byte: 4,
-            per_byte_scan: 2,
-            heap_op: 60,
-            compact_slab_limit: 2048,
-            huge_slab_limit: 6144,
-            sync_op: 30,
-            thread_spawn: 400,
-            rng_contention: 12,
-        }
-    }
-}
+/// The calibration every VM charges against.
+pub const COST: CostModel = CostModel {
+    alloca: 24,
+    alloca_vla: 48,
+    mem_access: 20,
+    mem_access_compact: 19,
+    mem_access_huge: 23,
+    alu: 20,
+    cast: 10,
+    branch: 20,
+    call: 40,
+    ret: 20,
+    intrinsic_base: 30,
+    per_byte: 4,
+    per_byte_scan: 2,
+    heap_op: 60,
+    compact_slab_limit: 2048,
+    huge_slab_limit: 6144,
+    sync_op: 30,
+    thread_spawn: 400,
+    rng_contention: 12,
+};
 
 impl CostModel {
     /// Classify a function by its slab size (`None` if uninstrumented).
@@ -269,37 +266,6 @@ impl CostModel {
             _ => bytes * self.per_byte,
         }
     }
-
-    /// Order-sensitive FNV-1a digest of every parameter. Compiled
-    /// bytecode interns per-instruction costs, so a cached
-    /// [`crate::CompiledModule`] is only valid for the exact cost model
-    /// it was lowered with; the fingerprint is the cache key.
-    pub fn fingerprint(&self) -> u64 {
-        let fields = [
-            self.alloca,
-            self.alloca_vla,
-            self.mem_access,
-            self.mem_access_compact,
-            self.mem_access_huge,
-            self.alu,
-            self.cast,
-            self.branch,
-            self.call,
-            self.ret,
-            self.intrinsic_base,
-            self.per_byte,
-            self.per_byte_scan,
-            self.heap_op,
-            self.compact_slab_limit,
-            self.huge_slab_limit,
-            self.sync_op,
-            self.thread_spawn,
-            self.rng_contention,
-        ];
-        fields.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
-            (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -309,39 +275,35 @@ mod tests {
 
     #[test]
     fn slab_classification() {
-        let cm = CostModel::default();
-        assert_eq!(cm.classify_slab(None), SlabClass::None);
-        assert_eq!(cm.classify_slab(Some(100)), SlabClass::Compact);
-        assert_eq!(cm.classify_slab(Some(4096)), SlabClass::Neutral);
-        assert_eq!(cm.classify_slab(Some(80_000)), SlabClass::Huge);
+        assert_eq!(COST.classify_slab(None), SlabClass::None);
+        assert_eq!(COST.classify_slab(Some(100)), SlabClass::Compact);
+        assert_eq!(COST.classify_slab(Some(4096)), SlabClass::Neutral);
+        assert_eq!(COST.classify_slab(Some(80_000)), SlabClass::Huge);
     }
 
     #[test]
     fn stack_access_costs_depend_on_slab() {
-        let cm = CostModel::default();
-        assert!(cm.mem_cost(SlabClass::Compact, true) < cm.mem_cost(SlabClass::None, true));
-        assert!(cm.mem_cost(SlabClass::Huge, true) > cm.mem_cost(SlabClass::None, true));
+        assert!(COST.mem_cost(SlabClass::Compact, true) < COST.mem_cost(SlabClass::None, true));
+        assert!(COST.mem_cost(SlabClass::Huge, true) > COST.mem_cost(SlabClass::None, true));
         // Non-stack (global/heap) accesses are unaffected.
         assert_eq!(
-            cm.mem_cost(SlabClass::Compact, false),
-            cm.mem_cost(SlabClass::Huge, false)
+            COST.mem_cost(SlabClass::Compact, false),
+            COST.mem_cost(SlabClass::Huge, false)
         );
     }
 
     #[test]
     fn loads_priced_at_execution_time() {
-        let cm = CostModel::default();
         let load = Inst::Load {
             result: RegId(0),
             ty: Type::I64,
             ptr: Value::NullPtr,
         };
-        assert_eq!(cm.inst_cost(&load), 0);
+        assert_eq!(COST.inst_cost(&load), 0);
     }
 
     #[test]
     fn vla_costs_more_than_fixed_alloca() {
-        let cm = CostModel::default();
         let fixed = Inst::Alloca {
             result: RegId(0),
             ty: Type::I64,
@@ -358,7 +320,7 @@ mod tests {
             name: "v".into(),
             randomizable: true,
         };
-        assert!(cm.inst_cost(&vla) > cm.inst_cost(&fixed));
+        assert!(COST.inst_cost(&vla) > COST.inst_cost(&fixed));
     }
 
     #[test]
@@ -390,9 +352,11 @@ mod tests {
 
     #[test]
     fn bulk_costs_scale_with_bytes() {
-        let cm = CostModel::default();
-        assert_eq!(cm.bulk_cost(Intrinsic::Memcpy, 100), 100 * cm.per_byte);
-        assert_eq!(cm.bulk_cost(Intrinsic::Strlen, 50), 50 * cm.per_byte_scan);
-        assert_eq!(cm.bulk_cost(Intrinsic::Malloc, 0), cm.heap_op);
+        assert_eq!(COST.bulk_cost(Intrinsic::Memcpy, 100), 100 * COST.per_byte);
+        assert_eq!(
+            COST.bulk_cost(Intrinsic::Strlen, 50),
+            50 * COST.per_byte_scan
+        );
+        assert_eq!(COST.bulk_cost(Intrinsic::Malloc, 0), COST.heap_op);
     }
 }

@@ -6,11 +6,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use smokestack_ir::{BinOp, CmpPred, IntWidth, Intrinsic};
-use smokestack_srng::{build_source, RandomSource, SchemeKind, SeededTrng, XorShift64};
+use smokestack_srng::{build_source, EntropySource, SchemeKind, SeededTrng, XorShift64};
 use smokestack_telemetry::{CycleCategory, Event, GuardKind, SharedRecorder};
 
 use crate::bytecode::{CompiledModule, ExecBackend};
-use crate::cycles::{CostModel, CycleBreakdown};
+use crate::cycles::{CycleBreakdown, COST};
 use crate::interp::Interp;
 use crate::io::{InputSource, OutputEvent};
 use crate::machine::Scratch;
@@ -185,6 +185,7 @@ impl RunOutcome {
 }
 
 /// VM configuration.
+#[derive(Clone)]
 pub struct VmConfig {
     /// Which Table I randomness scheme services `stack_rng`.
     pub scheme: SchemeKind,
@@ -198,8 +199,6 @@ pub struct VmConfig {
     pub fuel: u64,
     /// Memory sizes.
     pub mem: MemConfig,
-    /// Cycle-cost parameters.
-    pub cost: CostModel,
     /// Record every stack allocation (address/size/name).
     pub record_allocas: bool,
     /// Flight recorder fed with every telemetry event. `None` (the
@@ -232,7 +231,6 @@ impl Default for VmConfig {
             stack_base_offset: 0,
             fuel: 200_000_000,
             mem: MemConfig::default(),
-            cost: CostModel::default(),
             record_allocas: false,
             recorder: None,
             backend: ExecBackend::default(),
@@ -254,9 +252,8 @@ pub struct Vm {
     /// The module and every per-module table both backends read.
     pub(crate) compiled: Arc<CompiledModule>,
     pub(crate) mem: Memory,
-    pub(crate) cost: CostModel,
     pub(crate) scheme: SchemeKind,
-    pub(crate) rng: Box<dyn RandomSource>,
+    pub(crate) rng: EntropySource,
     pub(crate) guard_key: u64,
     pub(crate) canary: u64,
     pub(crate) stack_base_offset: u64,
@@ -303,8 +300,7 @@ pub struct Vm {
 /// A run's secrets, drawn from the TRNG seeded with the run's seed in
 /// the one order that construction and respawn share: guard key,
 /// canary, pseudo-PRNG seed, then the `stack_rng` source.
-fn draw_secrets(scheme: SchemeKind, trng_seed: u64) -> (u64, u64, u64, Box<dyn RandomSource>) {
-    use smokestack_srng::TrueRandom;
+fn draw_secrets(scheme: SchemeKind, trng_seed: u64) -> (u64, u64, u64, EntropySource) {
     let mut trng = SeededTrng::new(trng_seed);
     let guard_key = trng.next_u64();
     let canary = trng.next_u64() | 0xff; // never zero
@@ -313,16 +309,8 @@ fn draw_secrets(scheme: SchemeKind, trng_seed: u64) -> (u64, u64, u64, Box<dyn R
 }
 
 impl Vm {
-    /// The real constructor. `compiled` is the module's compiled value;
-    /// it is revalidated against the config's cost model and re-resolved
-    /// through the process cache on mismatch (the interned costs and
-    /// slab classes depend on it, under either backend).
+    /// The real constructor. `compiled` is the module's compiled value.
     pub(crate) fn new_internal(compiled: Arc<CompiledModule>, cfg: VmConfig) -> Vm {
-        let compiled = if compiled.cost_fp == cfg.cost.fingerprint() {
-            compiled
-        } else {
-            crate::bytecode::compiled_for(&compiled.module, &cfg.cost)
-        };
         let (guard_key, canary, pseudo_seed, rng) = draw_secrets(cfg.scheme, cfg.trng_seed);
 
         let mut mem = Memory::new(cfg.mem);
@@ -345,7 +333,6 @@ impl Vm {
         let mut vm = Vm {
             compiled,
             mem,
-            cost: cfg.cost,
             scheme: cfg.scheme,
             rng,
             guard_key,
@@ -451,11 +438,6 @@ impl Vm {
     /// orthogonal to the TRNG seed, which re-keys the defenses).
     pub fn set_sched_seed(&mut self, seed: u64) {
         self.sched_seed = seed;
-    }
-
-    /// Toggle the data-race detector for the next run.
-    pub fn set_detect_races(&mut self, on: bool) {
-        self.detect_races = on;
     }
 
     /// Charge `c` cost units in category `cat` (single choke point for
@@ -686,7 +668,7 @@ impl Vm {
                 if !bytes.is_empty() {
                     self.mem.write(ptr, &bytes).map_err(FaultKind::Mem)?;
                 }
-                let c = self.cost.bulk_cost(which, bytes.len() as u64);
+                let c = COST.bulk_cost(which, bytes.len() as u64);
                 self.charge(CycleCategory::Bulk, c);
                 self.emit(Event::InputRequest {
                     index: idx,
@@ -705,7 +687,7 @@ impl Vm {
                     .read(argv[0], len)
                     .map_err(FaultKind::Mem)?
                     .to_vec();
-                let c = self.cost.bulk_cost(Intrinsic::Strlen, len);
+                let c = COST.bulk_cost(Intrinsic::Strlen, len);
                 self.charge(CycleCategory::Bulk, c);
                 self.output.push(OutputEvent::Str(bytes));
                 Ok(None)
@@ -714,7 +696,7 @@ impl Vm {
                 let (dst, src, n) = (argv[0], argv[1], argv[2]);
                 let bytes = self.mem.read(src, n).map_err(FaultKind::Mem)?.to_vec();
                 self.mem.write(dst, &bytes).map_err(FaultKind::Mem)?;
-                let c = self.cost.bulk_cost(which, n);
+                let c = COST.bulk_cost(which, n);
                 self.charge(CycleCategory::Bulk, c);
                 Ok(None)
             }
@@ -723,13 +705,13 @@ impl Vm {
                 self.mem
                     .write(dst, &vec![byte; n as usize])
                     .map_err(FaultKind::Mem)?;
-                let c = self.cost.bulk_cost(which, n);
+                let c = COST.bulk_cost(which, n);
                 self.charge(CycleCategory::Bulk, c);
                 Ok(None)
             }
             Intrinsic::Strlen => {
                 let n = self.mem.strlen(argv[0]).map_err(FaultKind::Mem)?;
-                let c = self.cost.bulk_cost(which, n);
+                let c = COST.bulk_cost(which, n);
                 self.charge(CycleCategory::Bulk, c);
                 Ok(Some(n))
             }
@@ -777,13 +759,13 @@ impl Vm {
                         .map_err(FaultKind::Mem)?;
                     self.mem.write(dst + n, &[0]).map_err(FaultKind::Mem)?;
                 }
-                let c = self.cost.bulk_cost(which, would);
+                let c = COST.bulk_cost(which, would);
                 self.charge(CycleCategory::Bulk, c);
                 Ok(Some(would))
             }
             Intrinsic::Malloc => {
                 let size = smokestack_ir::align_to(argv[0].max(1), 16);
-                let c = self.cost.bulk_cost(which, 0);
+                let c = COST.bulk_cost(which, 0);
                 self.charge(CycleCategory::Bulk, c);
                 if let Some(addr) = self.free_lists.get_mut(&size).and_then(|v| v.pop()) {
                     return Ok(Some(addr));
@@ -799,7 +781,7 @@ impl Vm {
                 Ok(Some(addr))
             }
             Intrinsic::Free => {
-                let c = self.cost.bulk_cost(which, 0);
+                let c = COST.bulk_cost(which, 0);
                 self.charge(CycleCategory::Bulk, c);
                 if argv[0] != 0 {
                     if let Some(size) = self.block_sizes.remove(&argv[0]) {
@@ -820,7 +802,7 @@ impl Vm {
                 // TRNG port is contended: each competitor adds a
                 // surcharge (§ per-thread draws).
                 let contention = match self.sched.as_deref() {
-                    Some(s) => self.cost.rng_contention * s.live_threads().saturating_sub(1),
+                    Some(s) => COST.rng_contention * s.live_threads().saturating_sub(1),
                     None => 0,
                 };
                 let c = self.scheme.cost_decicycles() * (crate::cycles::DECI / 10) + contention;
@@ -915,7 +897,7 @@ impl Vm {
             Intrinsic::AtomicLoad => {
                 let addr = argv[0];
                 self.charge_mem(self.compiled.slab_classes[func as usize], addr);
-                let sync = self.cost.sync_op;
+                let sync = COST.sync_op;
                 self.charge(CycleCategory::Mem, sync);
                 let v = self.mem.read_uint(addr, 8).map_err(FaultKind::Mem)?;
                 if argv[1] == 1 {
@@ -926,7 +908,7 @@ impl Vm {
             Intrinsic::AtomicStore => {
                 let (addr, val) = (argv[0], argv[1]);
                 self.charge_mem(self.compiled.slab_classes[func as usize], addr);
-                let sync = self.cost.sync_op;
+                let sync = COST.sync_op;
                 self.charge(CycleCategory::Mem, sync);
                 self.mem.write_uint(addr, val, 8).map_err(FaultKind::Mem)?;
                 if argv[2] == 2 {
@@ -937,7 +919,7 @@ impl Vm {
             Intrinsic::AtomicRmw => {
                 let (addr, val, op, ord) = (argv[0], argv[1], argv[2], argv[3]);
                 self.charge_mem(self.compiled.slab_classes[func as usize], addr);
-                let sync = self.cost.sync_op;
+                let sync = COST.sync_op;
                 self.charge(CycleCategory::Mem, sync);
                 let old = self.mem.read_uint(addr, 8).map_err(FaultKind::Mem)?;
                 let new = match op {

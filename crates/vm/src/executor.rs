@@ -1,12 +1,12 @@
 //! [`Executor`]: the builder-style session API over the VM.
 //!
 //! An `Executor` owns everything that is *per-build* rather than
-//! *per-run*: the module, the hardening scheme, the cost model, the
-//! flight recorder, and — crucially — the compiled bytecode image,
-//! resolved once through the process-wide cache and shared by every VM
-//! the session spawns. Campaign trials, fuzz variants, and benchmark
-//! repetitions construct one `Executor` per build and then spawn
-//! thousands of cheap per-seed VMs from it:
+//! *per-run*: the module, one [`VmConfig`] (the randomness scheme, the
+//! flight recorder and the other spawn defaults), and — crucially — the
+//! compiled bytecode image, resolved once through the process-wide
+//! cache and shared by every VM the session spawns. Campaign trials,
+//! fuzz variants, and benchmark repetitions construct one `Executor`
+//! per build and then spawn thousands of cheap per-seed VMs from it:
 //!
 //! ```
 //! use smokestack_vm::{Executor, ScriptedInput};
@@ -31,33 +31,22 @@ use smokestack_srng::SchemeKind;
 use smokestack_telemetry::SharedRecorder;
 
 use crate::bytecode::{compiled_for, CompiledModule, ExecBackend};
-use crate::cycles::CostModel;
 use crate::exec::{RunOutcome, Vm, VmConfig};
 use crate::io::InputSource;
 use crate::mem::MemConfig;
-use crate::report::RunReport;
 
 /// A VM session: one module + build configuration, many runs.
 ///
 /// Cloning is cheap and shares the compiled image; clones are the
 /// intended way to fork a session with one knob changed (see
-/// [`Executor::with_record_allocas`]).
+/// [`Executor::with_recorder`]).
 #[derive(Clone)]
 pub struct Executor {
     module: Arc<Module>,
-    scheme: SchemeKind,
-    trng_seed: u64,
-    stack_base_offset: u64,
-    fuel: u64,
-    mem: MemConfig,
-    cost: CostModel,
-    record_allocas: bool,
-    backend: ExecBackend,
-    sched_seed: u64,
-    detect_races: bool,
-    recorder: Option<SharedRecorder>,
+    /// What every spawned VM starts from, before per-run overrides.
+    config: VmConfig,
     /// Lazily-resolved compiled image (interior so `&self` spawning
-    /// works; `OnceCell` because a session never changes module/cost).
+    /// works; `OnceCell` because a session never changes module).
     compiled: OnceCell<Arc<CompiledModule>>,
 }
 
@@ -70,69 +59,57 @@ pub struct ExecutorBuilder {
 impl ExecutorBuilder {
     /// Table I randomness scheme served to `stack_rng`.
     pub fn scheme(mut self, scheme: SchemeKind) -> Self {
-        self.inner.scheme = scheme;
+        self.inner.config.scheme = scheme;
         self
     }
 
     /// Session-default TRNG seed (per-run seeds via
     /// [`Executor::vm_seeded`] take precedence).
     pub fn trng_seed(mut self, seed: u64) -> Self {
-        self.inner.trng_seed = seed;
+        self.inner.config.trng_seed = seed;
         self
     }
 
     /// Extra offset subtracted from the initial stack pointer.
     pub fn stack_base_offset(mut self, offset: u64) -> Self {
-        self.inner.stack_base_offset = offset;
+        self.inner.config.stack_base_offset = offset;
         self
     }
 
     /// Instruction budget per run.
     pub fn fuel(mut self, fuel: u64) -> Self {
-        self.inner.fuel = fuel;
+        self.inner.config.fuel = fuel;
         self
     }
 
     /// Memory segment sizes.
     pub fn mem(mut self, mem: MemConfig) -> Self {
-        self.inner.mem = mem;
-        self
-    }
-
-    /// Cycle-cost parameters (part of the compiled-image fingerprint).
-    pub fn cost(mut self, cost: CostModel) -> Self {
-        self.inner.cost = cost;
-        self
-    }
-
-    /// Record every stack allocation (address/size/name) per run.
-    pub fn record_allocas(mut self, record: bool) -> Self {
-        self.inner.record_allocas = record;
+        self.inner.config.mem = mem;
         self
     }
 
     /// Execution engine (bytecode by default).
     pub fn backend(mut self, backend: ExecBackend) -> Self {
-        self.inner.backend = backend;
+        self.inner.config.backend = backend;
         self
     }
 
     /// Scheduler seed for threaded programs: one seed fully determines
     /// the preemption schedule (and so the interleaving).
     pub fn sched_seed(mut self, seed: u64) -> Self {
-        self.inner.sched_seed = seed;
+        self.inner.config.sched_seed = seed;
         self
     }
 
     /// Enable the data-race detector (off by default).
     pub fn detect_races(mut self, on: bool) -> Self {
-        self.inner.detect_races = on;
+        self.inner.config.detect_races = on;
         self
     }
 
     /// Flight recorder, cloned into every spawned VM.
     pub fn recorder(mut self, recorder: SharedRecorder) -> Self {
-        self.inner.recorder = Some(recorder);
+        self.inner.config.recorder = Some(recorder);
         self
     }
 
@@ -150,17 +127,7 @@ impl Executor {
         ExecutorBuilder {
             inner: Executor {
                 module: module.into(),
-                scheme: SchemeKind::Aes10,
-                trng_seed: 0x5eed,
-                stack_base_offset: 0,
-                fuel: 200_000_000,
-                mem: MemConfig::default(),
-                cost: CostModel::default(),
-                record_allocas: false,
-                backend: ExecBackend::default(),
-                sched_seed: 0,
-                detect_races: false,
-                recorder: None,
+                config: VmConfig::default(),
                 compiled: OnceCell::new(),
             },
         }
@@ -173,32 +140,24 @@ impl Executor {
 
     /// The session's randomness scheme.
     pub fn scheme(&self) -> SchemeKind {
-        self.scheme
+        self.config.scheme
     }
 
     /// The session's execution backend.
     pub fn backend(&self) -> ExecBackend {
-        self.backend
+        self.config.backend
     }
 
     /// The session's flight recorder, if any.
     pub fn recorder(&self) -> Option<&SharedRecorder> {
-        self.recorder.as_ref()
-    }
-
-    /// Fork the session with alloca recording switched on/off (used by
-    /// disclosure probes, which need the allocation trace of a single
-    /// run without re-compiling the build).
-    pub fn with_record_allocas(mut self, record: bool) -> Executor {
-        self.record_allocas = record;
-        self
+        self.config.recorder.as_ref()
     }
 
     /// Fork the session with a flight recorder attached; the compiled
     /// image carries over (incident capture re-runs a deciding attempt
     /// through such a fork).
     pub fn with_recorder(mut self, recorder: SharedRecorder) -> Executor {
-        self.recorder = Some(recorder);
+        self.config.recorder = Some(recorder);
         self
     }
 
@@ -207,49 +166,20 @@ impl Executor {
     /// global layout and per-function tables are read, its bytecode is
     /// not).
     pub fn with_backend(mut self, backend: ExecBackend) -> Executor {
-        self.backend = backend;
-        self
-    }
-
-    /// Fork the session with a different scheduler seed (the
-    /// interleaving knob for threaded programs); the compiled image
-    /// carries over.
-    pub fn with_sched_seed(mut self, seed: u64) -> Executor {
-        self.sched_seed = seed;
-        self
-    }
-
-    /// Fork the session with the data-race detector toggled.
-    pub fn with_detect_races(mut self, on: bool) -> Executor {
-        self.detect_races = on;
+        self.config.backend = backend;
         self
     }
 
     /// The session's compiled bytecode image, lowering on first use.
-    /// Identical `(module, cost-model)` sessions — clones, or sessions
-    /// over the same `Arc<Module>` — return the same `Arc`.
+    /// Sessions over one module — clones, or sessions over the same
+    /// `Arc<Module>` — return the same `Arc`.
     pub fn compiled(&self) -> Arc<CompiledModule> {
-        Arc::clone(
-            self.compiled
-                .get_or_init(|| compiled_for(&self.module, &self.cost)),
-        )
+        Arc::clone(self.compiled.get_or_init(|| compiled_for(&self.module)))
     }
 
     /// The [`VmConfig`] a spawned VM gets, before per-run overrides.
     pub fn base_config(&self) -> VmConfig {
-        VmConfig {
-            scheme: self.scheme,
-            trng_seed: self.trng_seed,
-            stack_base_offset: self.stack_base_offset,
-            fuel: self.fuel,
-            mem: self.mem,
-            cost: self.cost,
-            record_allocas: self.record_allocas,
-            recorder: self.recorder.clone(),
-            backend: self.backend,
-            sched_seed: self.sched_seed,
-            detect_races: self.detect_races,
-        }
+        self.config.clone()
     }
 
     /// Spawn a fresh VM with the session defaults.
@@ -277,9 +207,7 @@ impl Executor {
     }
 
     /// Escape hatch: spawn a VM from an explicit [`VmConfig`] while
-    /// still reusing the session's compiled image (the image is
-    /// revalidated against the config's cost model, so any override is
-    /// safe).
+    /// still reusing the session's compiled image.
     pub fn vm_with_config(&self, cfg: VmConfig) -> Vm {
         Vm::new_internal(self.compiled(), cfg)
     }
@@ -308,11 +236,6 @@ impl Executor {
     /// wrong.
     pub fn run(&self, entry: &str, args: &[u64], mut input: impl InputSource) -> RunOutcome {
         self.vm().run_with(entry, args, &mut input)
-    }
-
-    /// Run `main` once and reduce to the canonical [`RunReport`].
-    pub fn report_main(&self, input: &mut dyn InputSource) -> RunReport {
-        RunReport::from(self.run_main_with(input))
     }
 
     /// Open a resident [`Session`]: one long-lived VM that is respawned
@@ -355,19 +278,6 @@ impl Session {
         self.vm.run_main_with(input)
     }
 
-    /// Run `main` under a per-request TRNG seed *and* scheduler seed
-    /// (threaded replay: the pair fully determines the run).
-    pub fn run_main_interleaved(
-        &mut self,
-        trng_seed: u64,
-        sched_seed: u64,
-        input: &mut dyn InputSource,
-    ) -> RunOutcome {
-        self.vm.respawn(trng_seed);
-        self.vm.set_sched_seed(sched_seed);
-        self.vm.run_main_with(input)
-    }
-
     /// The resident VM (post-mortem memory inspection between runs).
     pub fn vm(&self) -> &Vm {
         &self.vm
@@ -378,6 +288,7 @@ impl Session {
 mod tests {
     use super::*;
     use crate::io::ScriptedInput;
+    use crate::report::RunReport;
     use smokestack_ir::{Builder, Function, Type, Value};
 
     fn sample() -> Arc<Module> {
@@ -407,7 +318,10 @@ mod tests {
         let one = exec.run_main_with(&mut input);
         let two = exec.run_main_with(&mut input);
         assert_eq!(one.decicycles, two.decicycles);
-        assert_eq!(exec.report_main(&mut input).exit_class, "return:9");
+        assert_eq!(
+            RunReport::from(exec.run_main_with(&mut input)).exit_class,
+            "return:9"
+        );
     }
 
     #[test]

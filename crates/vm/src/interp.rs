@@ -2,7 +2,7 @@
 //! built, on the shared execution core in [`crate::machine`].
 //!
 //! It fetches each [`Inst`] and [`Terminator`] by `(block, index)`
-//! from the module, prices it through the [`crate::CostModel`] at every
+//! from the module, prices it through the [`crate::COST`] model at every
 //! execution, and evaluates [`Value`] operands on the fly — every step
 //! the bytecode lowering does ahead of time. Everything else (frames,
 //! the thread driver, the budget step, alloca, call/return, indirect
@@ -16,7 +16,7 @@ use std::convert::Infallible;
 use smokestack_ir::{BlockId, Callee, CastKind, Function, Inst, Module, Terminator, Value};
 use smokestack_telemetry::CycleCategory;
 
-use crate::cycles::SlabClass;
+use crate::cycles::{SlabClass, COST};
 use crate::exec::{FaultKind, Vm};
 use crate::io::InputSource;
 use crate::machine::{Decode, Scratch, SliceEnd};
@@ -66,7 +66,7 @@ impl Decode for Interp<'_> {
             let blk = self.module.funcs[fidx as usize].block(block);
 
             let Some(inst) = blk.insts.get(idx as usize) else {
-                let c = vm.cost.term_cost(&blk.term);
+                let c = COST.term_cost(&blk.term);
                 vm.charge(CycleCategory::Control, c);
                 match &blk.term {
                     Terminator::Br(b) => (block, idx) = (*b, 0),
@@ -89,7 +89,7 @@ impl Decode for Interp<'_> {
                 continue;
             };
 
-            let c = vm.cost.inst_cost(inst);
+            let c = COST.inst_cost(inst);
             match inst {
                 Inst::Call { .. } => vm.charge(CycleCategory::Control, c),
                 _ => vm.charge(CycleCategory::Alu, c),

@@ -33,7 +33,7 @@
 //!
 //! * [`ExecBackend::Bytecode`] (default) decodes a flat bytecode lowered
 //!   once per module ([`CompiledModule`], cached process-wide per
-//!   module + cost-model fingerprint);
+//!   module);
 //! * [`ExecBackend::Interp`] decodes the IR as built, pricing each
 //!   instruction per execution, and is kept as the differential oracle
 //!   for lowering and decode.
@@ -76,7 +76,7 @@ mod report;
 mod sched;
 
 pub use bytecode::{compile_module, compiled_for, CompiledModule, ExecBackend};
-pub use cycles::{CostModel, CycleBreakdown, SlabClass, DECI};
+pub use cycles::{CostModel, CycleBreakdown, SlabClass, COST, DECI};
 pub use exec::{AllocaRecord, Exit, FaultKind, RunOutcome, Vm, VmConfig};
 pub use executor::{Executor, ExecutorBuilder, Session};
 pub use io::{FnInput, InputSource, OutputEvent, ScriptedInput};

@@ -17,7 +17,7 @@ use std::convert::Infallible;
 use smokestack_ir::Intrinsic;
 use smokestack_telemetry::{CycleCategory, Event, GuardKind};
 
-use crate::cycles::SlabClass;
+use crate::cycles::{SlabClass, COST};
 use crate::exec::{AllocaRecord, Exit, FaultKind, Vm};
 use crate::io::InputSource;
 use crate::mem::layout;
@@ -427,7 +427,7 @@ impl Vm {
     #[inline]
     pub(crate) fn charge_mem(&mut self, slab: SlabClass, addr: u64) {
         let is_stack = addr >= self.mem.stack_base() && addr < layout::STACK_TOP;
-        let c = self.cost.mem_cost(slab, is_stack);
+        let c = COST.mem_cost(slab, is_stack);
         self.charge(CycleCategory::Mem, c);
     }
 

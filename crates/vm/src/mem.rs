@@ -267,8 +267,8 @@ impl Default for MemConfig {
 
 impl Memory {
     /// Allocate the address space: one zeroed buffer for all four
-    /// segments, padded to [`MIN_ALLOC_BYTES`] so that it is always
-    /// freshly mapped and its untouched pages cost nothing.
+    /// segments, padded to 32 MiB (`MIN_ALLOC_BYTES`) so that it is
+    /// always freshly mapped and its untouched pages cost nothing.
     pub fn new(cfg: MemConfig) -> Memory {
         let rodata = Segment::new("rodata", layout::RODATA_BASE, 0, cfg.rodata_size, false);
         let data = Segment::new(

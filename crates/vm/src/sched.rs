@@ -29,9 +29,10 @@
 use std::collections::HashMap;
 
 use smokestack_ir::FuncId;
-use smokestack_srng::{build_source, RandomSource, SeededTrng, XorShift64};
+use smokestack_srng::{build_source, EntropySource, SeededTrng, XorShift64};
 use smokestack_telemetry::CycleCategory;
 
+use crate::cycles::COST;
 use crate::exec::{Exit, FaultKind, Vm};
 
 /// Per-thread stack slab size (carved from the bottom of the stack
@@ -100,7 +101,7 @@ pub(crate) struct ThreadState {
     pub stack_limit: u64,
     /// Per-thread entropy source (`None` for the main thread, which
     /// keeps using `Vm::rng`). Each spawn draws its own P-BOX epoch.
-    pub rng: Option<Box<dyn RandomSource>>,
+    pub rng: Option<EntropySource>,
     /// Return value, valid once `Finished` (0 for void returns).
     pub result: u64,
 }
@@ -300,7 +301,7 @@ impl Vm {
         let fid = FuncId(self.resolve_callee(fn_addr, 1)?);
         let scheme = self.scheme;
         let trng_seed = self.trng_seed;
-        let spawn_cost = self.cost.thread_spawn;
+        let spawn_cost = COST.thread_spawn;
 
         let s = self.ensure_sched();
         if s.threads.len() >= MAX_THREADS {
@@ -337,7 +338,7 @@ impl Vm {
     /// `join(tid)`: return the target's result if it finished, or block
     /// the caller (`Ok(None)` with `pending_block` set).
     pub(crate) fn sched_join(&mut self, tid: u64) -> Result<Option<u64>, FaultKind> {
-        let sync_cost = self.cost.sync_op;
+        let sync_cost = COST.sync_op;
         let s = self.ensure_sched();
         let cur = s.cur;
         let t = tid as usize;
@@ -364,7 +365,7 @@ impl Vm {
 
     /// `mutex_lock(addr)`: acquire or block.
     pub(crate) fn sched_mutex_lock(&mut self, addr: u64) {
-        let sync_cost = self.cost.sync_op;
+        let sync_cost = COST.sync_op;
         let s = self.ensure_sched();
         let cur = s.cur;
         let m = s.mutexes.entry(addr).or_insert(MutexState { owner: None });
@@ -388,7 +389,7 @@ impl Vm {
     /// `mutex_unlock(addr)`: release and wake waiters (no-op when the
     /// caller does not hold the mutex).
     pub(crate) fn sched_mutex_unlock(&mut self, addr: u64) {
-        let sync_cost = self.cost.sync_op;
+        let sync_cost = COST.sync_op;
         let s = self.ensure_sched();
         let cur = s.cur;
         let Some(m) = s.mutexes.get_mut(&addr) else {

@@ -15,7 +15,7 @@ use smokestack_core::{harden, SmokestackConfig};
 use smokestack_defenses::DefenseKind;
 use smokestack_ir::Module;
 use smokestack_srng::SchemeKind;
-use smokestack_vm::{compiled_for, CostModel, ExecBackend, Executor, RunOutcome, ScriptedInput};
+use smokestack_vm::{compiled_for, ExecBackend, Executor, RunOutcome, ScriptedInput};
 use smokestack_workloads::all;
 
 /// Run `main` once under `backend` with a replayable scripted input.
@@ -309,7 +309,7 @@ fn resident_sessions_identical_to_fresh_vms() {
         harden(&mut m, &SmokestackConfig::default()).expect("workload hardens");
         let module = Arc::new(m);
         for backend in [ExecBackend::Interp, ExecBackend::Bytecode] {
-            for scheme in [SchemeKind::Pseudo, SchemeKind::Aes10] {
+            for scheme in SchemeKind::ALL {
                 let exec = Executor::for_module(Arc::clone(&module))
                     .scheme(scheme)
                     .backend(backend)
@@ -361,23 +361,21 @@ fn resident_sessions_respect_per_request_stack_offsets() {
 }
 
 /// The process-wide compiled-module cache must return the *same* image
-/// for identical (module, cost-model) pairs and distinct images when
-/// the cost fingerprint differs.
+/// for the same module and distinct images for distinct modules, even
+/// when their contents are equal.
 #[test]
-fn compiled_cache_is_keyed_by_module_and_cost() {
+fn compiled_cache_is_keyed_by_module() {
     let w = &all()[0];
     let m = Arc::new(w.compile().unwrap());
-    let cost = CostModel::default();
-    let a = compiled_for(&m, &cost);
-    let b = compiled_for(&m, &cost);
-    assert!(Arc::ptr_eq(&a, &b), "same module+cost must share the image");
+    let a = compiled_for(&m);
+    let b = compiled_for(&m);
+    assert!(Arc::ptr_eq(&a, &b), "one module must share the image");
 
-    let mut other = cost;
-    other.call += 1;
-    let c = compiled_for(&m, &other);
+    let twin = Arc::new(w.compile().unwrap());
+    let c = compiled_for(&twin);
     assert!(
         !Arc::ptr_eq(&a, &c),
-        "different cost fingerprints must not share an image"
+        "distinct modules must not share an image"
     );
 
     // Executor sessions route through the same cache.

@@ -6,7 +6,7 @@
 use smokestack_rand::Rng;
 use smokestack_repro::core::{factorial, layout_for_rank, AllocSlot, PBoxBuilder, PBoxConfig};
 use smokestack_repro::minic::compile;
-use smokestack_repro::srng::{Aes128, Aes128Ctr, RandomSource, SeededTrng, XorShift64};
+use smokestack_repro::srng::{Aes128, Aes128Ctr, SeededTrng, XorShift64};
 use smokestack_repro::vm::{layout, Executor, MemConfig, Memory, ScriptedInput};
 
 /// Cases per property: modest by default, widened under
