@@ -1,5 +1,5 @@
-//! AES-128 implemented from scratch (FIPS-197), with a configurable
-//! round count.
+//! AES-128 with a configurable round count: AES-NI where the CPU has
+//! it, a from-scratch FIPS-197 software path everywhere else.
 //!
 //! The paper's prototype uses Intel AES-NI to encrypt a counter with a
 //! true-random key; it evaluates both the standard 10-round AES-128
@@ -8,6 +8,18 @@
 //! provides exactly that: [`Aes128::encrypt_block`] is standard AES-128
 //! and is tested against the FIPS-197 appendix vectors, while
 //! [`Aes128::encrypt_block_rounds`] runs a reduced number of rounds.
+//!
+//! [`Aes128::new`] and [`Aes128::encrypt_block_rounds`] pick the path
+//! at run time: on an x86_64 CPU with the `aes` feature they run the
+//! AES-NI kernels of the `ni` module (`aeskeygenassist`, `aesenc`,
+//! `aesenclast`); on any other host they run the byte-at-a-time
+//! software code below, which is also the reference the kernels are
+//! tested against. Both paths use the same round-key layout and
+//! produce the same bytes, so a keystream does not depend on the host.
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod ni;
 
 /// The AES S-box.
 const SBOX: [u8; 256] = [
@@ -65,30 +77,15 @@ pub struct Aes128 {
 impl Aes128 {
     /// Expand a 128-bit key into the full schedule.
     pub fn new(key: [u8; 16]) -> Aes128 {
-        let mut w = [[0u8; 4]; 44];
-        for i in 0..4 {
-            w[i] = [key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]];
+        #[cfg(target_arch = "x86_64")]
+        if let Some(kernel) = ni::Kernel::detect() {
+            return Aes128 {
+                round_keys: kernel.expand_key(key),
+            };
         }
-        for i in 4..44 {
-            let mut t = w[i - 1];
-            if i % 4 == 0 {
-                t.rotate_left(1);
-                for b in &mut t {
-                    *b = SBOX[*b as usize];
-                }
-                t[0] ^= RCON[i / 4 - 1];
-            }
-            for j in 0..4 {
-                w[i][j] = w[i - 4][j] ^ t[j];
-            }
+        Aes128 {
+            round_keys: expand_key(key),
         }
-        let mut round_keys = [[0u8; 16]; 11];
-        for (r, rk) in round_keys.iter_mut().enumerate() {
-            for c in 0..4 {
-                rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
-            }
-        }
-        Aes128 { round_keys }
     }
 
     /// Standard 10-round AES-128 encryption of one block.
@@ -105,19 +102,57 @@ impl Aes128 {
     /// Panics unless `1 <= rounds <= 10`.
     pub fn encrypt_block_rounds(&self, block: [u8; 16], rounds: u32) -> [u8; 16] {
         assert!((1..=10).contains(&rounds), "rounds must be in 1..=10");
-        let mut s = block;
-        add_round_key(&mut s, &self.round_keys[0]);
-        for r in 1..rounds {
-            sub_bytes(&mut s);
-            shift_rows(&mut s);
-            mix_columns(&mut s);
-            add_round_key(&mut s, &self.round_keys[r as usize]);
+        #[cfg(target_arch = "x86_64")]
+        if let Some(kernel) = ni::Kernel::detect() {
+            return kernel.encrypt_rounds(&self.round_keys, block, rounds);
         }
+        encrypt_rounds(&self.round_keys, block, rounds)
+    }
+}
+
+/// The FIPS-197 key expansion (§5.2): the software path's schedule.
+fn expand_key(key: [u8; 16]) -> [[u8; 16]; 11] {
+    let mut w = [[0u8; 4]; 44];
+    for i in 0..4 {
+        w[i] = [key[4 * i], key[4 * i + 1], key[4 * i + 2], key[4 * i + 3]];
+    }
+    for i in 4..44 {
+        let mut t = w[i - 1];
+        if i % 4 == 0 {
+            t.rotate_left(1);
+            for b in &mut t {
+                *b = SBOX[*b as usize];
+            }
+            t[0] ^= RCON[i / 4 - 1];
+        }
+        for j in 0..4 {
+            w[i][j] = w[i - 4][j] ^ t[j];
+        }
+    }
+    let mut round_keys = [[0u8; 16]; 11];
+    for (r, rk) in round_keys.iter_mut().enumerate() {
+        for c in 0..4 {
+            rk[4 * c..4 * c + 4].copy_from_slice(&w[4 * r + c]);
+        }
+    }
+    round_keys
+}
+
+/// The FIPS-197 cipher (§5.1) cut to `rounds` rounds: the software
+/// path's block encryption.
+fn encrypt_rounds(round_keys: &[[u8; 16]; 11], block: [u8; 16], rounds: u32) -> [u8; 16] {
+    let mut s = block;
+    add_round_key(&mut s, &round_keys[0]);
+    for rk in &round_keys[1..rounds as usize] {
         sub_bytes(&mut s);
         shift_rows(&mut s);
-        add_round_key(&mut s, &self.round_keys[rounds as usize]);
-        s
+        mix_columns(&mut s);
+        add_round_key(&mut s, rk);
     }
+    sub_bytes(&mut s);
+    shift_rows(&mut s);
+    add_round_key(&mut s, &round_keys[rounds as usize]);
+    s
 }
 
 // State is column-major: s[4*c + r] is row r, column c (as in FIPS-197).
@@ -165,20 +200,70 @@ mod tests {
         out
     }
 
+    /// FIPS-197 Appendix B (worked example) and C.1 (AES-128
+    /// known-answer test): `(key, plaintext, ciphertext)`.
+    const FIPS_197: [(&str, &str, &str); 2] = [
+        (
+            "2b7e151628aed2a6abf7158809cf4f3c",
+            "3243f6a8885a308d313198a2e0370734",
+            "3925841d02dc09fbdc118597196a0b32",
+        ),
+        (
+            "000102030405060708090a0b0c0d0e0f",
+            "00112233445566778899aabbccddeeff",
+            "69c4e0d86a7b0430d8cdb78070b4c55a",
+        ),
+    ];
+
+    /// The software path, and whichever path [`Aes128`] picks here.
     #[test]
-    fn fips_197_appendix_b() {
-        // FIPS-197 Appendix B worked example.
-        let aes = Aes128::new(hex("2b7e151628aed2a6abf7158809cf4f3c"));
-        let ct = aes.encrypt_block(hex("3243f6a8885a308d313198a2e0370734"));
-        assert_eq!(ct, hex("3925841d02dc09fbdc118597196a0b32"));
+    fn fips_197_vectors() {
+        for (key, pt, ct) in FIPS_197 {
+            assert_eq!(encrypt_rounds(&expand_key(hex(key)), hex(pt), 10), hex(ct));
+            assert_eq!(Aes128::new(hex(key)).encrypt_block(hex(pt)), hex(ct));
+        }
     }
 
+    /// The AES-NI kernels, or `None` (and a note on stderr) on a host
+    /// without them, where the NI cases skip.
+    #[cfg(target_arch = "x86_64")]
+    fn kernel() -> Option<ni::Kernel> {
+        let kernel = ni::Kernel::detect();
+        if kernel.is_none() {
+            eprintln!("CPU has no AES-NI: skipping the AES-NI cases");
+        }
+        kernel
+    }
+
+    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn fips_197_appendix_c1() {
-        // FIPS-197 Appendix C.1 (AES-128) known-answer test.
-        let aes = Aes128::new(hex("000102030405060708090a0b0c0d0e0f"));
-        let ct = aes.encrypt_block(hex("00112233445566778899aabbccddeeff"));
-        assert_eq!(ct, hex("69c4e0d86a7b0430d8cdb78070b4c55a"));
+    fn fips_197_vectors_ni() {
+        let Some(kernel) = kernel() else { return };
+        for (key, pt, ct) in FIPS_197 {
+            let rk = kernel.expand_key(hex(key));
+            assert_eq!(kernel.encrypt_rounds(&rk, hex(pt), 10), hex(ct));
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn ni_matches_software_on_random_keys() {
+        let Some(kernel) = kernel() else { return };
+        let mut trng = crate::SeededTrng::new(0xae5_417);
+        for _ in 0..256 {
+            let (mut key, mut block) = ([0u8; 16], [0u8; 16]);
+            trng.fill(&mut key);
+            trng.fill(&mut block);
+            let rk = expand_key(key);
+            assert_eq!(kernel.expand_key(key), rk, "schedule of key {key:02x?}");
+            for rounds in 1..=10 {
+                assert_eq!(
+                    kernel.encrypt_rounds(&rk, block, rounds),
+                    encrypt_rounds(&rk, block, rounds),
+                    "key {key:02x?}, block {block:02x?}, {rounds} rounds"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //!
 //! * [`XorShift64`] is the insecure memory-based PRNG whose state is
 //!   deliberately disclosable (the paper's "pseudo" baseline).
-//! * [`Aes128Ctr`] is AES-128 counter mode built on a from-scratch
-//!   FIPS-197 [`Aes128`] core, with 1-round ("AES-1") and 10-round
-//!   ("AES-10") configurations and periodic true-random re-keying.
+//! * [`Aes128Ctr`] is AES-128 counter mode on the [`Aes128`] core, with
+//!   1-round ("AES-1") and 10-round ("AES-10") configurations and
+//!   periodic true-random re-keying. The core runs on AES-NI when the
+//!   CPU has it and on a from-scratch FIPS-197 software path otherwise;
+//!   both give the same bytes, so keystreams do not depend on the host.
 //! * RDRAND, the on-chip true random number generator, is modelled by
 //!   drawing straight from the [`SeededTrng`] that keys the others.
 //!
@@ -25,7 +27,11 @@
 //!
 //! Hardware latency is *modelled*, not measured: [`SchemeKind`] carries
 //! the paper's per-invocation cycle costs so the VM can charge them to
-//! its simulated cycle budget.
+//! its simulated cycle budget. The AES-NI path only makes the host's
+//! wall-clock cost of a draw approach what the model charges.
+//!
+//! The AES-NI kernels are the crate's only `unsafe` code: the crate
+//! denies `unsafe_code`, and only that one module allows it.
 //!
 //! # Examples
 //!
@@ -40,6 +46,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 mod aes;
 mod schemes;

@@ -25,16 +25,6 @@ impl XorShift64 {
         }
     }
 
-    /// Current state (what a memory-disclosure attack reads).
-    pub fn state(&self) -> u64 {
-        self.state
-    }
-
-    /// Overwrite the state (what a memory-corruption attack writes).
-    pub fn set_state(&mut self, s: u64) {
-        self.state = if s == 0 { 0x9e3779b97f4a7c15 } else { s };
-    }
-
     /// Advance and return the next value. Public as a free function of
     /// the state too (see [`XorShift64::step`]) so attack code can
     /// replicate the generator from disclosed state.
@@ -102,9 +92,15 @@ fn invert_xorshift_left(mut v: u64, shift: u32) -> u64 {
 /// AES-128 counter-mode generator with a configurable round count.
 ///
 /// Key and nonce are held **outside** the simulated data memory (the
-/// paper keeps them in registers via AES-NI); the universal call counter
-/// triggers a re-key from the true-random source every
-/// `rekey_interval` draws, mirroring §III-D.
+/// paper keeps them in registers via AES-NI); a universal counter
+/// triggers a re-key from the true-random source, mirroring §III-D.
+///
+/// The counter (`draws`) counts encrypted *blocks*, not `next_u64`
+/// calls: each block yields two `u64`s. It is incremented before it is
+/// compared with the interval, so the first key serves
+/// `rekey_interval - 1` blocks and every later key `rekey_interval`
+/// blocks. Keystreams past the first rekey are pinned, so the counting
+/// stays as it is.
 ///
 /// The key schedule is expanded on the first draw after each (re)key,
 /// not when the key is drawn: a generator that never draws (every
@@ -119,6 +115,7 @@ pub struct Aes128Ctr {
     counter: u32,
     rounds: u32,
     rekey_interval: u32,
+    /// Blocks encrypted under the current key (see the type docs).
     draws: u32,
     trng: SeededTrng,
     /// One encrypted block yields two u64 outputs; the spare is cached.
@@ -136,7 +133,8 @@ fn draw_key(trng: &mut SeededTrng) -> ([u8; 16], u128) {
 }
 
 impl Aes128Ctr {
-    /// Default number of draws between re-keys.
+    /// Default re-key interval, in blocks (two `u64` draws each): the
+    /// first key serves `2^20 - 1` blocks, every later key `2^20`.
     pub const DEFAULT_REKEY_INTERVAL: u32 = 1 << 20;
 
     /// Create a generator with `rounds` AES rounds (1 for "AES-1",
@@ -159,13 +157,6 @@ impl Aes128Ctr {
             trng,
             spare: None,
         }
-    }
-
-    /// Override the re-key interval (draws between fresh key/nonce).
-    pub fn with_rekey_interval(mut self, interval: u32) -> Aes128Ctr {
-        assert!(interval > 0, "rekey interval must be positive");
-        self.rekey_interval = interval;
-        self
     }
 
     fn rekey(&mut self) {
@@ -246,7 +237,7 @@ mod tests {
     #[test]
     fn xorshift_predictable_from_state() {
         let mut gen = XorShift64::new(1234);
-        let disclosed = gen.state();
+        let disclosed = gen.state;
         // Attacker replicates the stream from the disclosed state.
         let (s1, predicted) = XorShift64::step(disclosed);
         assert_eq!(gen.next(), predicted);
@@ -268,7 +259,7 @@ mod tests {
         let out = g.next();
         // Attacker discloses the post-draw state and reconstructs the
         // draw that produced it.
-        assert_eq!(XorShift64::output_of_state(g.state()), out);
+        assert_eq!(XorShift64::output_of_state(g.state), out);
     }
 
     #[test]
@@ -310,7 +301,8 @@ mod tests {
 
     #[test]
     fn rekey_changes_stream() {
-        let mut g = Aes128Ctr::new(10, SeededTrng::new(3)).with_rekey_interval(4);
+        let mut g = Aes128Ctr::new(10, SeededTrng::new(3));
+        g.rekey_interval = 4;
         let vals: Vec<u64> = (0..64).map(|_| g.next_u64()).collect();
         let unique: std::collections::HashSet<_> = vals.iter().collect();
         assert_eq!(unique.len(), vals.len());
@@ -350,7 +342,8 @@ mod tests {
     fn lazy_key_schedule_matches_eager_keying_across_rekeys() {
         for rounds in [1, 10] {
             for seed in [3, 0x5eed] {
-                let mut lazy = Aes128Ctr::new(rounds, SeededTrng::new(seed)).with_rekey_interval(5);
+                let mut lazy = Aes128Ctr::new(rounds, SeededTrng::new(seed));
+                lazy.rekey_interval = 5;
                 let got: Vec<u64> = (0..101).map(|_| lazy.next_u64()).collect();
                 assert_eq!(got, eager_stream(rounds, seed, 5, 101), "rounds {rounds}");
                 // The default interval: no rekey inside the window.
@@ -359,6 +352,53 @@ mod tests {
                 let want = eager_stream(rounds, seed, Aes128Ctr::DEFAULT_REKEY_INTERVAL, 16);
                 assert_eq!(got, want, "rounds {rounds}");
             }
+        }
+    }
+
+    /// The first 16 draws of `build_source(kind, SeededTrng::new(42))`,
+    /// recorded from the FIPS-197 software path: under the default
+    /// interval, and with `rekey_interval = 3`, which rekeys after the
+    /// 4th and the 10th draw. Every campaign pin, schedule digest and
+    /// incident report rests on these keystreams, so a drift in the AES
+    /// core fails here first.
+    #[rustfmt::skip]
+    const GOLDEN: [(SchemeKind, u32, [u64; 16]); 4] = [
+        (SchemeKind::Aes1, Aes128Ctr::DEFAULT_REKEY_INTERVAL, [
+            0x1dc059df4e0ea4c6, 0x39b01d4da0860466, 0x1dc059df4e0ea416, 0x39b01d4da0860466,
+            0x1dc059df4e0ea443, 0x39b01d4da0860466, 0x1dc059df4e0ea4c3, 0x39b01d4da0860466,
+            0x1dc059df4e0ea409, 0x39b01d4da0860466, 0x1dc059df4e0ea4a5, 0x39b01d4da0860466,
+            0x1dc059df4e0ea4f3, 0x39b01d4da0860466, 0x1dc059df4e0ea45b, 0x39b01d4da0860466,
+        ]),
+        (SchemeKind::Aes1, 3, [
+            0x1dc059df4e0ea4c6, 0x39b01d4da0860466, 0x1dc059df4e0ea416, 0x39b01d4da0860466,
+            0x4e747257e9d0c526, 0x0df268297b38cb0e, 0x4e747257e9d0c5e9, 0x0df268297b38cb0e,
+            0x4e747257e9d0c50a, 0x0df268297b38cb0e, 0x6a0370c649a912f6, 0xc148dd2f0b0f2a0b,
+            0x6a0370c649a91284, 0xc148dd2f0b0f2a0b, 0x6a0370c649a91296, 0xc148dd2f0b0f2a0b,
+        ]),
+        (SchemeKind::Aes10, Aes128Ctr::DEFAULT_REKEY_INTERVAL, [
+            0x38e8ce7244f5b62b, 0x15fbedb66d91a4e8, 0x781d0c341dde156f, 0xf84ec7cc026f3fb0,
+            0xb9251e07a0022bde, 0x650179e3d6963ef8, 0x3522f804ad16c414, 0xe964008ac066755c,
+            0x55e1c34fd9b5de34, 0x3074c21045389e7c, 0x96b4352542108ac1, 0x32dd29627a0ef544,
+            0xa8e9fa3cb6172174, 0x0c85822878638bfa, 0x0f7cdc8cd2415857, 0x47454c0a7e4473e5,
+        ]),
+        (SchemeKind::Aes10, 3, [
+            0x38e8ce7244f5b62b, 0x15fbedb66d91a4e8, 0x781d0c341dde156f, 0xf84ec7cc026f3fb0,
+            0xbc86089b211289a0, 0x431a9651ab89e99b, 0xc1198462bfdfb187, 0xbeb2bbece6ae56de,
+            0x94a7e5c55ae25a13, 0x3eef7d4dd908c4b3, 0x01eebd20b9ff34de, 0x8a1acb0e9404b4ce,
+            0x1b6050db4778e48c, 0xec8a575b14163fb2, 0x4c5a8c53f423e12f, 0x0aa9ee3fd20efd8c,
+        ]),
+    ];
+
+    #[test]
+    fn aes_keystreams_match_golden() {
+        for (kind, interval, want) in GOLDEN {
+            let mut src = build_source(kind, SeededTrng::new(42));
+            let EntropySource::Aes(ctr) = &mut src else {
+                panic!("{kind:?} is not an AES source")
+            };
+            ctr.rekey_interval = interval;
+            let got: Vec<u64> = (0..16).map(|_| src.next_u64()).collect();
+            assert_eq!(got, want, "{kind:?}, rekey interval {interval}");
         }
     }
 
