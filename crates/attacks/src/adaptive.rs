@@ -31,7 +31,7 @@
 use smokestack_core::HardenReport;
 use smokestack_vm::{layout, FnInput, Memory};
 
-use crate::intel::{probe, scan_stack};
+use crate::intel::{row_deltas, scan_stack, Knowledge};
 use crate::{conclude, Attack, AttackOutcome, Build, CommitFlag};
 
 /// Attacker-chosen computation: `5000 - 111 + 13`.
@@ -66,10 +66,12 @@ pub const SOURCE: &str = r#"
     int main() { session(); return 0; }
 "#;
 
-/// Slot declaration order in `session` (read out of the binary).
-const SLOT_CTR: usize = 0;
-const SLOT_MAX: usize = 1;
-const SLOT_BUFF: usize = 5;
+/// The buffer every offset is taken from.
+const BUFF: &str = "buff";
+
+/// The gadget slots of `session`: the loop counter and bound, then the
+/// three zero-valued slots only active probing tells apart.
+const SLOTS: [&str; 5] = ["ctr", "max", "op", "operand", "acc"];
 
 /// Gadget script once the layout is known: (op, operand). The LOAD
 /// (op 4) first parks `target` in `acc`; the adaptive path enters at
@@ -135,28 +137,17 @@ fn passive_solve(
     ctr_candidates: &[u64],
     max_candidates: &[u64],
 ) -> Option<(i64, i64, [i64; 3])> {
-    let p = report.placements.get("session")?;
-    let t = &report.pbox.tables[p.table];
+    let mask = report.placements.get("session")?.mask;
     let mut solution: Option<(i64, i64, [i64; 3])> = None;
-    for row in t.rows.iter() {
-        let offs: Vec<i64> = p.columns.iter().map(|&c| row.offsets[c] as i64).collect();
-        let buff_off = offs[SLOT_BUFF];
-        let slab = buff_addr as i64 - buff_off;
-        if slab < 0 {
+    for draw in 0..=mask {
+        let d = row_deltas(report, "session", draw, BUFF, &SLOTS)?;
+        let at = |delta: i64| (buff_addr as i64 + delta) as u64;
+        if !ctr_candidates.contains(&at(d[0])) || !max_candidates.contains(&at(d[1])) {
             continue;
         }
-        let ctr_addr = (slab + offs[SLOT_CTR]) as u64;
-        let max_addr = (slab + offs[SLOT_MAX]) as u64;
-        if !ctr_candidates.contains(&ctr_addr) || !max_candidates.contains(&max_addr) {
-            continue;
-        }
-        let mut unknown = [offs[2] - buff_off, offs[3] - buff_off, offs[4] - buff_off];
+        let mut unknown = [d[2], d[3], d[4]];
         unknown.sort_unstable();
-        let cand = (
-            offs[SLOT_CTR] - buff_off,
-            offs[SLOT_MAX] - buff_off,
-            unknown,
-        );
+        let cand = (d[0], d[1], unknown);
         match &solution {
             None => solution = Some(cand),
             Some(existing) if *existing != cand => return None,
@@ -198,8 +189,10 @@ enum Phase {
     Aborted,
 }
 
-/// Read-modify-write payload over `[buff, buff+span)`.
-fn rmw(mem: &Memory, buff: u64, span: usize) -> Option<Vec<u8>> {
+/// Read-modify-write payload from `buff` up to the end of the highest
+/// of the 8-byte slots at `offs`.
+fn rmw(mem: &Memory, buff: u64, offs: impl IntoIterator<Item = i64>) -> Option<Vec<u8>> {
+    let span = offs.into_iter().fold(0, |end, d| end.max(d + 8));
     mem.read(buff, span as u64).ok().map(|b| b.to_vec())
 }
 
@@ -218,54 +211,41 @@ impl Attack for AdaptiveAttack {
     }
 
     fn attempt(&self, build: &Build, run_seed: u64) -> AttackOutcome {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        let report = build.deployment.smokestack.clone();
+        let report = build.deployment.smokestack.as_ref();
         // Static (non-Smokestack) builds need no adaptivity: one probe
         // of a prior run reveals everything, including which zero-slot
         // is which (the trace is labeled).
-        let probed: Option<(i64, i64, i64, i64, i64)> = if report.is_none() {
-            let intel = probe(build, run_seed ^ 0xd1c, (0..12).map(|_| vec![]).collect());
-            (|| {
-                Some((
-                    intel.offset_between("session", "buff", "ctr")?,
-                    intel.offset_between("session", "buff", "max")?,
-                    intel.offset_between("session", "buff", "op")?,
-                    intel.offset_between("session", "buff", "operand")?,
-                    intel.offset_between("session", "buff", "acc")?,
-                ))
-            })()
+        let probed = if report.is_none() {
+            let mut k = Knowledge::probed(build, run_seed ^ 0xd1c, &vec![vec![]; 12]);
+            k.deltas(None, 0, ("session", BUFF), &SLOTS.map(|s| ("session", s)))
         } else {
             None
         };
 
-        let phase = Rc::new(RefCell::new(match probed {
-            Some((ctr, max, op, operand, acc)) => Phase::Script {
-                ctr,
-                max,
-                op,
-                operand,
-                acc,
+        let mut phase = match probed {
+            Some(d) => Phase::Script {
+                ctr: d[0],
+                max: d[1],
+                op: d[2],
+                operand: d[3],
+                acc: d[4],
                 step: 0,
             },
             None => Phase::Recon1,
-        }));
-        let phase_c = phase.clone();
+        };
         let committed = CommitFlag::new();
-        let committed_c = committed.clone();
 
         let reachable = |offs: &[i64]| offs.iter().all(|&d| (8..=504).contains(&d));
 
         let mut vm = build.vm(run_seed);
-        let adversary = FnInput(move |mem: &mut Memory, req, _max| {
+        let adversary = FnInput(|mem: &mut Memory, req, _max| {
             if req == 0 {
                 return MARKER.to_le_bytes().to_vec();
             }
             let Some(buff) = scan_stack(mem, MARKER, 2 << 20) else {
                 return vec![];
             };
-            let mut ph = phase_c.borrow_mut();
+            let ph = &mut phase;
             let next: Vec<u8>;
             #[allow(unused_assignments)] // every arm either sets or early-returns
             let mut next_phase: Option<Phase> = None;
@@ -286,20 +266,17 @@ impl Attack for AdaptiveAttack {
                         .map(|(i, _)| now.base + 8 * i as u64)
                         .filter(|a| earlier.value_at(*a) == Some(12))
                         .collect();
-                    let rep = report.as_ref().expect("smokestack build");
-                    match passive_solve(rep, buff, &ctr_candidates, &max_candidates) {
+                    let solved = report
+                        .and_then(|rep| passive_solve(rep, buff, &ctr_candidates, &max_candidates));
+                    match solved {
                         Some((ctr, max, unknown))
                             if reachable(&[ctr, max]) && reachable(&unknown) =>
                         {
                             // Spray the LOAD opcode: whichever unknown
                             // slot is `op` fires `acc = target`.
-                            let span = unknown
-                                .iter()
-                                .chain([ctr, max].iter())
-                                .map(|&d| d + 8)
-                                .max()
-                                .unwrap() as usize;
-                            let Some(mut payload) = rmw(mem, buff, span) else {
+                            let Some(mut payload) =
+                                rmw(mem, buff, unknown.into_iter().chain([ctr, max]))
+                            else {
                                 return vec![];
                             };
                             put(&mut payload, ctr, 1);
@@ -308,7 +285,7 @@ impl Attack for AdaptiveAttack {
                                 put(&mut payload, u, 4);
                             }
                             payload[..8].copy_from_slice(&MARKER.to_le_bytes());
-                            committed_c.arm();
+                            committed.arm();
                             next = payload;
                             next_phase = Some(Phase::DisambA { ctr, max, unknown });
                         }
@@ -328,13 +305,9 @@ impl Attack for AdaptiveAttack {
                         Some(acc_off) => {
                             let q: Vec<i64> =
                                 unknown.iter().copied().filter(|&d| d != acc_off).collect();
-                            let span = unknown
-                                .iter()
-                                .chain([*ctr, *max].iter())
-                                .map(|&d| d + 8)
-                                .max()
-                                .unwrap() as usize;
-                            let Some(mut payload) = rmw(mem, buff, span) else {
+                            let Some(mut payload) =
+                                rmw(mem, buff, unknown.iter().copied().chain([*ctr, *max]))
+                            else {
                                 return vec![];
                             };
                             put(&mut payload, *ctr, 1);
@@ -372,12 +345,8 @@ impl Attack for AdaptiveAttack {
                     };
                     // Restore acc to the clean target value and start
                     // the script.
-                    let span = [*ctr, *max, op_off, operand_off, *acc]
-                        .iter()
-                        .map(|&d| d + 8)
-                        .max()
-                        .unwrap() as usize;
-                    let Some(mut payload) = rmw(mem, buff, span) else {
+                    let Some(mut payload) = rmw(mem, buff, [*ctr, *max, op_off, operand_off, *acc])
+                    else {
                         return vec![];
                     };
                     let (op, operand) = SCRIPT[1];
@@ -413,24 +382,20 @@ impl Attack for AdaptiveAttack {
                         *ph = Phase::Aborted;
                         return vec![];
                     }
-                    let span = offs.iter().map(|&d| d + 8).max().unwrap() as usize;
-                    let Some(mut payload) = rmw(mem, buff, span) else {
+                    let Some(mut payload) = rmw(mem, buff, offs) else {
                         return vec![];
                     };
                     let (opcode, arg) = SCRIPT[*step];
                     let last = *step + 1 == SCRIPT.len();
-                    let acc_val = i64::from_le_bytes(
-                        payload[*acc as usize..*acc as usize + 8]
-                            .try_into()
-                            .expect("in span"),
-                    );
+                    let at = *acc as usize;
+                    let acc_val = payload[at..at + 8].try_into().map_or(0, i64::from_le_bytes);
                     put(&mut payload, *ctr, if last { 11 } else { 1 });
                     put(&mut payload, *max, 12);
                     put(&mut payload, *op, opcode);
                     put(&mut payload, *operand, arg);
                     put(&mut payload, *acc, acc_val);
                     payload[..8].copy_from_slice(&MARKER.to_le_bytes());
-                    committed_c.arm();
+                    committed.arm();
                     next = payload;
                     next_phase = Some(Phase::Script {
                         ctr: *ctr,

@@ -11,7 +11,10 @@
 //! follows the paper's threat model — full read/write access to
 //! writable memory at every input point, knowledge of the binary
 //! (including the public, read-only P-BOX), ability to probe prior runs
-//! of the same build, and a finite brute-force budget of restarts.
+//! of the same build, and a finite brute-force budget of restarts. What
+//! it knows of a frame's layout is one [`intel::Knowledge`], the same
+//! type for every attack: each states only its constants, its usability
+//! test and its payload.
 //!
 //! [`run_trial`] runs one trial campaign of an attack against a
 //! deployed [`Build`]; the `smokestack-campaign` engine runs trial
@@ -221,6 +224,16 @@ impl Build {
     pub fn unprotected_twin(&self, src: &str) -> &Build {
         self.twin
             .get_or_init(|| Box::new(Build::new(src, DefenseKind::None, self.build_seed)))
+    }
+
+    /// Load address of the global `name`, read from the compiled image
+    /// without spawning a VM (every VM of the build maps it there).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is not a global of the program.
+    pub fn global_addr(&self, name: &str) -> u64 {
+        self.executor.compiled().global_addr(name)
     }
 
     /// A fresh VM for one run, sharing the build's compiled image.

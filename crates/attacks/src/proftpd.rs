@@ -20,7 +20,7 @@
 
 use smokestack_vm::{FnInput, Memory};
 
-use crate::intel::{probe, scan_stack};
+use crate::intel::{scan_stack, Knowledge, Slot};
 use crate::{conclude, Attack, AttackOutcome, Build, CommitFlag};
 
 /// The secret the attack exfiltrates.
@@ -30,6 +30,16 @@ const TAG: i64 = 47314086988030945;
 
 /// Rounds of gadget dispatch: 7 chain dereferences, then the leak.
 const DEREF_ROUNDS: u64 = 7;
+
+/// The overflowed buffer, then the slots the command is crafted
+/// against: the callee's tag and the caller's dispatcher state.
+const SLOTS: [Slot; 5] = [
+    ("sreplace", "fmt"),
+    ("sreplace", "tag"),
+    ("cmd_loop", "nreq"),
+    ("cmd_loop", "deref"),
+    ("cmd_loop", "emit"),
+];
 
 /// The vulnerable FTP-command loop.
 pub const SOURCE: &str = r#"
@@ -100,45 +110,31 @@ impl Attack for ProftpdAttack {
 
     fn attempt(&self, build: &Build, run_seed: u64) -> AttackOutcome {
         // Offline recon: relative offsets from fmt to the caller's
-        // dispatcher state, disclosed from a prior run.
-        let intel = probe(build, run_seed ^ 0xf7bd, vec![0u64.to_le_bytes().to_vec()]);
-        let offsets = (|| {
-            let fmt = intel.addr_of("sreplace", "fmt")?;
-            let callee_tag = intel.addr_of("sreplace", "tag")?;
-            Some((
-                callee_tag as i64 - fmt as i64,
-                intel.addr_of("cmd_loop", "nreq")? as i64 - fmt as i64,
-                intel.addr_of("cmd_loop", "deref")? as i64 - fmt as i64,
-                intel.addr_of("cmd_loop", "emit")? as i64 - fmt as i64,
-            ))
-        })();
-        let (d_tag, d_nreq, d_deref, d_emit) = match offsets {
-            Some(o) => o,
-            None => {
-                // Smokestack build: only the unprotected layout is
-                // statically knowable; the sweep will mismatch and the
-                // guard will catch it.
-                let base = build.unprotected_twin(SOURCE);
-                let intel = probe(base, run_seed ^ 0xf7bd, vec![0u64.to_le_bytes().to_vec()]);
-                let fmt = intel.addr_of("sreplace", "fmt").expect("baseline probe");
-                (
-                    intel.addr_of("sreplace", "tag").expect("probe") as i64 - fmt as i64,
-                    intel.addr_of("cmd_loop", "nreq").expect("probe") as i64 - fmt as i64,
-                    intel.addr_of("cmd_loop", "deref").expect("probe") as i64 - fmt as i64,
-                    intel.addr_of("cmd_loop", "emit").expect("probe") as i64 - fmt as i64,
-                )
-            }
+        // dispatcher state, disclosed from a prior run. A Smokestack
+        // build discloses none of them, so only the unprotected layout is
+        // statically knowable; the sweep will mismatch and the guard will
+        // catch it.
+        let mut knowledge = Knowledge::probed_or_twin(
+            build,
+            SOURCE,
+            run_seed ^ 0xf7bd,
+            &[0u64.to_le_bytes().to_vec()],
+            &SLOTS,
+        );
+        let Some(&[d_tag, d_nreq, d_deref, d_emit]) =
+            knowledge.deltas(None, 0, SLOTS[0], &SLOTS[1..]).as_deref()
+        else {
+            return AttackOutcome::Aborted;
         };
         if d_nreq <= 0 || d_deref <= 0 || d_emit <= 0 {
             return AttackOutcome::Aborted;
         }
 
         let committed = CommitFlag::new();
-        let committed_c = committed.clone();
 
         let span = (d_nreq.max(d_deref).max(d_emit) + 8) as usize;
         let mut vm = build.vm(run_seed);
-        let adversary = FnInput(move |mem: &mut Memory, req, _max| {
+        let adversary = FnInput(|mem: &mut Memory, req, _max| {
             // Requests alternate: even = length header, odd = payload.
             let round = req / 2;
             if req % 2 == 0 {
@@ -153,14 +149,16 @@ impl Attack for ProftpdAttack {
             if round > DEREF_ROUNDS + 1 {
                 return vec![];
             }
-            let Some(anchor) = scan_stack(mem, (TAG + 1) as u64, 2 << 20) else {
+            // The command is crafted offline, so the live frame's address
+            // is not needed; but with no live `sreplace` frame yet there
+            // is nothing to overflow, and the input stays benign.
+            if scan_stack(mem, (TAG + 1) as u64, 2 << 20).is_none() {
                 return vec![];
-            };
-            let _ = anchor; // the command is crafted offline
-                            // Offline-crafted FTP command: zeros everywhere except the
-                            // slots whose values the attacker can know statically. The
-                            // per-run guard/canary values are unknowable, so those slots
-                            // necessarily receive wrong bytes.
+            }
+            // Offline-crafted FTP command: zeros everywhere except the
+            // slots whose values the attacker can know statically. The
+            // per-run guard/canary values are unknowable, so those slots
+            // necessarily receive wrong bytes.
             let mut payload = vec![0u8; span];
             let mut put = |d: i64, v: i64| {
                 // A slot below `fmt` (a permuted frame) is out of reach.
@@ -183,7 +181,7 @@ impl Attack for ProftpdAttack {
                 put(d_deref, 0);
                 put(d_emit, 0);
             }
-            committed_c.arm();
+            committed.arm();
             payload
         });
         let out = vm.run_main(adversary);

@@ -24,11 +24,10 @@ use std::sync::OnceLock;
 use smokestack_analyzer::chain::ChainReport;
 use smokestack_analyzer::synth::{synthesize, Goal, GoalCheck, PayloadPlan, SymValue};
 use smokestack_analyzer::Mechanic;
-use smokestack_defenses::DefenseKind;
 use smokestack_ir::{Callee, GlobalInit, Inst, Intrinsic, Module, Value};
 use smokestack_vm::{FnInput, Memory};
 
-use crate::intel::probe;
+use crate::intel::{Knowledge, Slot};
 use crate::{conclude, Attack, AttackOutcome, Build, CommitFlag};
 
 /// Boxed adversarial input source: answers each `get_input` request
@@ -83,31 +82,28 @@ impl SynthesizedAttack {
     }
 
     /// Resolve every planned write to an entry-relative delta, using a
-    /// probe of `build` when it discloses the layout, otherwise the
-    /// unprotected baseline (the attacker's only static knowledge).
+    /// probe of `build` when it discloses the entry slot, otherwise the
+    /// unprotected twin (the attacker's only static knowledge).
     fn resolve(&self, build: &Build, run_seed: u64) -> Option<Vec<ResolvedWrite>> {
-        let globals = build.vm(0);
-        let live = probe(build, run_seed ^ 0x53ED, vec![]);
-        let intel = if live
-            .addr_of(&self.plan.entry_func, &self.plan.entry_slot)
-            .is_some()
-        {
-            live
-        } else {
-            let base = Build::new(self.source, DefenseKind::None, build.build_seed);
-            probe(&base, run_seed ^ 0x53ED, vec![])
-        };
-        let entry = intel.addr_of(&self.plan.entry_func, &self.plan.entry_slot)?;
+        let entry: Slot = (&self.plan.entry_func, &self.plan.entry_slot);
+        let mut knowledge =
+            Knowledge::probed_or_twin(build, self.source, run_seed ^ 0x53ED, &[], &[entry]);
+        let slots: Vec<Slot> = self
+            .plan
+            .writes
+            .iter()
+            .map(|w| (&*w.func, &*w.slot))
+            .collect();
+        let deltas = knowledge.deltas(None, 0, entry, &slots)?;
         let mut out = Vec::new();
-        for w in &self.plan.writes {
-            let slot = intel.addr_of(&w.func, &w.slot)?;
-            let delta = (slot as i64 + w.offset) - entry as i64;
+        for (w, d) in self.plan.writes.iter().zip(deltas) {
+            let delta = d + w.offset;
             if delta <= 0 || delta > (1 << 16) {
                 return None; // not reachable by an upward overflow
             }
             let value = match &w.value {
                 SymValue::Int(v) => *v as u64,
-                SymValue::GlobalAddr(g) => globals.global_addr(g),
+                SymValue::GlobalAddr(g) => build.global_addr(g),
             };
             out.push(ResolvedWrite {
                 delta,
@@ -363,6 +359,7 @@ fn build_catalog() -> Vec<SynthesizedAttack> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smokestack_defenses::DefenseKind;
     use smokestack_srng::SchemeKind;
 
     #[test]

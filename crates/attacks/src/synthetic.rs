@@ -19,13 +19,9 @@
 //! first step, as they overwrote a different address than the intended
 //! pointer" — §V-C).
 
-use smokestack_core::HardenReport;
-use smokestack_defenses::DefenseKind;
-use smokestack_rand::Rng;
-use smokestack_srng::SchemeKind;
 use smokestack_vm::{FnInput, Memory};
 
-use crate::intel::{probe, read_pseudo_state, scan_stack, PseudoOracle};
+use crate::intel::{scan_stack, Knowledge, Slot};
 use crate::{conclude, Attack, AttackOutcome, Build, CommitFlag};
 
 /// Base of the per-invocation tag main passes to `handle` — the anchor
@@ -33,7 +29,10 @@ use crate::{conclude, Attack, AttackOutcome, Build, CommitFlag};
 const TAG_BASE: i64 = 0x0123456789ABCDEF;
 
 /// How many invocations of `handle` each victim program performs.
-const INVOCATIONS: u64 = 6;
+const INVOCATIONS: usize = 6;
+
+/// The spilled `tag` parameter every offset is taken from.
+const TAG: Slot = ("handle", "tag");
 
 /// All four synthetic attacks in report order.
 pub fn all() -> Vec<Box<dyn Attack>> {
@@ -45,105 +44,82 @@ pub fn all() -> Vec<Box<dyn Attack>> {
     ]
 }
 
-/// Strategy resolved per run: how the adversary obtains the victim
-/// frame's slot offsets.
-enum OffsetSource {
-    /// Static layout disclosed from a probe of a prior run (keyed by
-    /// slot name, offsets relative to the anchor variable `tag`).
-    Probed(Vec<(String, i64)>),
-    /// Smokestack + pseudo: predict per invocation from disclosed state.
-    Predicted(HardenReport),
-    /// Smokestack + secure RNG: one blind row guess.
-    Guessed(HardenReport, u64),
-}
-
-fn offset_source(build: &Build, run_seed: u64, func: &str, vars: &[&str]) -> Option<OffsetSource> {
-    match &build.deployment.smokestack {
-        Some(report) => {
-            if build.defense == DefenseKind::Smokestack(SchemeKind::Pseudo) {
-                Some(OffsetSource::Predicted(report.clone()))
-            } else {
-                let draw: u64 = Rng::seed_from_u64(run_seed ^ 0x6355).next_u64();
-                Some(OffsetSource::Guessed(report.clone(), draw))
-            }
-        }
-        None => {
-            let intel = probe(
-                build,
-                run_seed ^ 0x9999,
-                (0..INVOCATIONS).map(|_| vec![]).collect(),
-            );
-            let mut out = Vec::new();
-            for v in vars {
-                let d = intel.offset_between(func, "tag", v)?;
-                out.push(((*v).to_string(), d));
-            }
-            Some(OffsetSource::Probed(out))
-        }
-    }
-}
-
-/// Slab-relative offsets (keyed by var name) for a given draw.
-fn oracle_offsets(report: &HardenReport, func: &str, draw: u64) -> Vec<(String, i64)> {
-    let oracle = PseudoOracle::new(report);
-    let offs = oracle.offsets_for_draw(func, draw);
-    let names = &report.placements[func].slot_names;
-    names
-        .iter()
-        .cloned()
-        .zip(offs.iter().map(|&o| o as i64))
-        .collect()
-}
-
-fn lookup(offs: &[(String, i64)], name: &str) -> Option<i64> {
-    offs.iter().find(|(n, _)| n == name).map(|(_, d)| *d)
-}
-
-/// Anchor-relative offsets of `vars` for the current invocation.
-fn current_offsets(
-    src: &OffsetSource,
-    func: &str,
-    vars: &[&str],
-    mem: &Memory,
-) -> Option<Vec<i64>> {
-    match src {
-        OffsetSource::Probed(map) => vars.iter().map(|v| lookup(map, v)).collect(),
-        OffsetSource::Predicted(report) => {
-            let draw = PseudoOracle::last_draw(read_pseudo_state(mem));
-            let map = oracle_offsets(report, func, draw);
-            let tag = lookup(&map, "tag")?;
-            vars.iter().map(|v| Some(lookup(&map, v)? - tag)).collect()
-        }
-        OffsetSource::Guessed(report, draw) => {
-            let map = oracle_offsets(report, func, *draw);
-            let tag = lookup(&map, "tag")?;
-            vars.iter().map(|v| Some(lookup(&map, v)? - tag)).collect()
-        }
-    }
-}
-
-/// Pre-run offsets when the source is static (probe or fixed guess);
-/// `None` means the decision must wait for live prediction.
-fn static_offsets(src: &OffsetSource, func: &str, vars: &[&str]) -> Option<Option<Vec<i64>>> {
-    match src {
-        OffsetSource::Probed(map) => Some(vars.iter().map(|v| lookup(map, v)).collect()),
-        OffsetSource::Guessed(report, draw) => {
-            let map = oracle_offsets(report, func, *draw);
-            let tag = lookup(&map, "tag");
-            Some(tag.and_then(|t| {
-                vars.iter()
-                    .map(|v| Some(lookup(&map, v)? - t))
-                    .collect::<Option<Vec<i64>>>()
-            }))
-        }
-        OffsetSource::Predicted(_) => None,
-    }
+/// The attacker's knowledge of `handle`'s frame: predicted under
+/// `pseudo`, one guessed row under a secure scheme, else disclosed by a
+/// probe of a prior run.
+fn knowledge(build: &Build, run_seed: u64) -> Knowledge<'_> {
+    Knowledge::pbox(build, run_seed, 0x6355, true)
+        .unwrap_or_else(|| Knowledge::probed(build, run_seed ^ 0x9999, &vec![vec![]; INVOCATIONS]))
 }
 
 /// Find the live frame anchor: the spilled `tag` parameter of the
 /// current invocation (`TAG_BASE + request_index`).
 fn find_anchor(mem: &Memory, req: u64) -> Option<u64> {
     scan_stack(mem, (TAG_BASE + req as i64) as u64, 2 << 20)
+}
+
+/// Shared implementation for the two stack overflows: land `values` on
+/// the two locals `targets` of the live `handle` frame with one overflow
+/// of `buf`, then read `granted` for `goal`. The attack fires at the
+/// first invocation whose known layout puts both targets above `buf`
+/// within the 256-byte read.
+fn stack_attempt(
+    build: &Build,
+    run_seed: u64,
+    targets: [&str; 2],
+    values: [u64; 2],
+    goal: fn(u64) -> bool,
+    goal_desc: &str,
+) -> AttackOutcome {
+    let slots = [
+        ("handle", "buf"),
+        ("handle", targets[0]),
+        ("handle", targets[1]),
+    ];
+    let usable = |offs: &[i64]| {
+        let (buf, t0, t1) = (offs[0], offs[1], offs[2]);
+        t0 > buf && t1 > buf && t0 - buf + 8 <= 256 && t1 - buf + 8 <= 256
+    };
+    let mut knowledge = knowledge(build, run_seed);
+    if knowledge.rules_out(TAG, &slots, usable) {
+        return AttackOutcome::Aborted;
+    }
+
+    let committed = CommitFlag::new();
+    let mut vm = build.vm(run_seed);
+    let adversary = FnInput(|mem: &mut Memory, req, _max| {
+        if committed.is_armed() {
+            return vec![]; // one shot per session
+        }
+        let Some(anchor) = find_anchor(mem, req) else {
+            return vec![];
+        };
+        let Some(offs) = knowledge.deltas(Some(mem), 0, TAG, &slots) else {
+            return vec![];
+        };
+        if !usable(&offs) {
+            return vec![]; // this invocation's layout is no good
+        }
+        let buf_d = offs[0];
+        let buf_addr = (anchor as i64 + buf_d) as u64;
+        let span = (offs[1].max(offs[2]) - buf_d + 8) as usize;
+        let Ok(bytes) = mem.read(buf_addr, span as u64) else {
+            return vec![];
+        };
+        let mut payload = bytes.to_vec();
+        for (d, v) in offs[1..].iter().zip(values) {
+            let at = (d - buf_d) as usize;
+            payload[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        }
+        committed.arm();
+        payload
+    });
+    let out = vm.run_main(adversary);
+    let granted = vm
+        .mem()
+        .read_uint(vm.global_addr("granted"), 8)
+        .unwrap_or(0);
+    conclude(&out, &committed, goal(granted), goal_desc).into_outcome()
 }
 
 // ---------------------------------------------------------------------
@@ -196,64 +172,14 @@ impl Attack for DirectStack {
     }
 
     fn attempt(&self, build: &Build, run_seed: u64) -> AttackOutcome {
-        let vars = ["buf", "key1", "key2"];
-        let Some(src) = offset_source(build, run_seed, "handle", &vars) else {
-            return AttackOutcome::Failed("recon failed".into());
-        };
-        let usable = |offs: &[i64]| {
-            let (buf, k1, k2) = (offs[0], offs[1], offs[2]);
-            k1 > buf && k2 > buf && k1 - buf + 8 <= 256 && k2 - buf + 8 <= 256
-        };
-        if let Some(st) = static_offsets(&src, "handle", &vars) {
-            match st {
-                Some(o) if usable(&o) => {}
-                _ => return AttackOutcome::Aborted,
-            }
-        }
-
-        let committed = CommitFlag::new();
-        let committed_c = committed.clone();
-
-        let mut vm = build.vm(run_seed);
-        let adversary = FnInput(move |mem: &mut Memory, req, _max| {
-            if committed_c.is_armed() {
-                return vec![]; // one shot per session
-            }
-            let Some(anchor) = find_anchor(mem, req) else {
-                return vec![];
-            };
-            let Some(offs) = current_offsets(&src, "handle", &vars, mem) else {
-                return vec![];
-            };
-            if !usable(&offs) {
-                return vec![]; // this invocation's layout is no good
-            }
-            let (buf_d, k1_d, k2_d) = (offs[0], offs[1], offs[2]);
-            let buf_addr = (anchor as i64 + buf_d) as u64;
-            let span = (k1_d.max(k2_d) - buf_d + 8) as usize;
-            let Ok(bytes) = mem.read(buf_addr, span as u64) else {
-                return vec![];
-            };
-            let mut payload = bytes.to_vec();
-            let p1 = (k1_d - buf_d) as usize;
-            let p2 = (k2_d - buf_d) as usize;
-            payload[p1..p1 + 8].copy_from_slice(&287454020i64.to_le_bytes());
-            payload[p2..p2 + 8].copy_from_slice(&1432778632i64.to_le_bytes());
-            committed_c.arm();
-            payload
-        });
-        let out = vm.run_main(adversary);
-        let granted = vm
-            .mem()
-            .read_uint(vm.global_addr("granted"), 8)
-            .unwrap_or(0);
-        conclude(
-            &out,
-            &committed,
-            granted >= 1,
+        stack_attempt(
+            build,
+            run_seed,
+            ["key1", "key2"],
+            [287454020, 1432778632],
+            |granted| granted >= 1,
             "authorization gates overwritten",
         )
-        .into_outcome()
     }
 }
 
@@ -307,66 +233,14 @@ impl Attack for IndirectStack {
     }
 
     fn attempt(&self, build: &Build, run_seed: u64) -> AttackOutcome {
-        let vars = ["buf", "v", "p"];
-        let Some(src) = offset_source(build, run_seed, "handle", &vars) else {
-            return AttackOutcome::Failed("recon failed".into());
-        };
-        let usable = |offs: &[i64]| {
-            let (buf, v, p) = (offs[0], offs[1], offs[2]);
-            v > buf && p > buf && v - buf + 8 <= 256 && p - buf + 8 <= 256
-        };
-        if let Some(st) = static_offsets(&src, "handle", &vars) {
-            match st {
-                Some(o) if usable(&o) => {}
-                _ => return AttackOutcome::Aborted,
-            }
-        }
-
-        let granted_addr = build.vm(0).global_addr("granted");
-
-        let committed = CommitFlag::new();
-        let committed_c = committed.clone();
-
-        let mut vm = build.vm(run_seed);
-        let adversary = FnInput(move |mem: &mut Memory, req, _max| {
-            if committed_c.is_armed() {
-                return vec![]; // one shot per session
-            }
-            let Some(anchor) = find_anchor(mem, req) else {
-                return vec![];
-            };
-            let Some(offs) = current_offsets(&src, "handle", &vars, mem) else {
-                return vec![];
-            };
-            if !usable(&offs) {
-                return vec![];
-            }
-            let (buf_d, v_d, p_d) = (offs[0], offs[1], offs[2]);
-            let buf_addr = (anchor as i64 + buf_d) as u64;
-            let span = (v_d.max(p_d) - buf_d + 8) as usize;
-            let Ok(bytes) = mem.read(buf_addr, span as u64) else {
-                return vec![];
-            };
-            let mut payload = bytes.to_vec();
-            let pv = (v_d - buf_d) as usize;
-            let pp = (p_d - buf_d) as usize;
-            payload[pv..pv + 8].copy_from_slice(&4242i64.to_le_bytes());
-            payload[pp..pp + 8].copy_from_slice(&granted_addr.to_le_bytes());
-            committed_c.arm();
-            payload
-        });
-        let out = vm.run_main(adversary);
-        let granted = vm
-            .mem()
-            .read_uint(vm.global_addr("granted"), 8)
-            .unwrap_or(0);
-        conclude(
-            &out,
-            &committed,
-            granted == 4242,
+        stack_attempt(
+            build,
+            run_seed,
+            ["v", "p"],
+            [4242, build.global_addr("granted")],
+            |granted| granted == 4242,
             "arbitrary write via corrupted pointer",
         )
-        .into_outcome()
     }
 }
 
@@ -458,23 +332,17 @@ const DATA_INDIRECT_SRC: &str = r#"
 /// non-stack buffer to corrupt an adjacent `[dest, value]` control pair
 /// that the program then stores through.
 fn indirect_attempt(build: &Build, run_seed: u64, magic: i64, filler: usize) -> AttackOutcome {
-    let vars = ["gate"];
-    let Some(src) = offset_source(build, run_seed, "handle", &vars) else {
-        return AttackOutcome::Failed("recon failed".into());
-    };
-
+    let mut knowledge = knowledge(build, run_seed);
     let committed = CommitFlag::new();
-    let committed_c = committed.clone();
-
     let mut vm = build.vm(run_seed);
-    let adversary = FnInput(move |mem: &mut Memory, req, _max| {
-        if committed_c.is_armed() {
+    let adversary = FnInput(|mem: &mut Memory, req, _max| {
+        if committed.is_armed() {
             return vec![]; // one shot per session
         }
         let Some(anchor) = find_anchor(mem, req) else {
             return vec![];
         };
-        let Some(offs) = current_offsets(&src, "handle", &vars, mem) else {
+        let Some(offs) = knowledge.deltas(Some(mem), 0, TAG, &[("handle", "gate")]) else {
             return vec![];
         };
         let gate_addr = (anchor as i64 + offs[0]) as u64;
@@ -482,7 +350,7 @@ fn indirect_attempt(build: &Build, run_seed: u64, magic: i64, filler: usize) -> 
         let mut payload = vec![0x41u8; filler];
         payload.extend_from_slice(&gate_addr.to_le_bytes());
         payload.extend_from_slice(&magic.to_le_bytes());
-        committed_c.arm();
+        committed.arm();
         payload
     });
     let out = vm.run_main(adversary);

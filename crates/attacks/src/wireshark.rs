@@ -19,10 +19,20 @@
 
 use smokestack_vm::{FnInput, Memory};
 
-use crate::intel::{probe, scan_stack};
+use crate::intel::{scan_stack, Knowledge, Slot};
 use crate::{conclude, Attack, AttackOutcome, Build, CommitFlag};
 
 const TAG: i64 = 52717237772009216;
+
+/// The overflowed buffer, then the slots the capture file is crafted
+/// against: the callee's tag and the caller's loop variables.
+const SLOTS: [Slot; 5] = [
+    ("dissect_record", "pd"),
+    ("dissect_record", "tag"),
+    ("render_columns", "cell_list"),
+    ("render_columns", "cmd"),
+    ("render_columns", "arg"),
+];
 
 /// The vulnerable program: a length-trusting packet copy inside a
 /// column-rendering loop.
@@ -70,52 +80,33 @@ impl Attack for WiresharkAttack {
     fn attempt(&self, build: &Build, run_seed: u64) -> AttackOutcome {
         // The malicious capture file is crafted offline from a
         // disclosure probe of a prior run: relative offsets from the
-        // callee's pd buffer up to the caller's loop variables.
-        let intel = probe(build, run_seed ^ 0x77a9, vec![0u64.to_le_bytes().to_vec()]);
-        let offsets = (|| {
-            let pd = intel.addr_of("dissect_record", "pd")?;
-            let callee_tag = intel.addr_of("dissect_record", "tag")?;
-            let cell = intel.addr_of("render_columns", "cell_list")?;
-            let cmd = intel.addr_of("render_columns", "cmd")?;
-            let arg = intel.addr_of("render_columns", "arg")?;
-            Some((
-                callee_tag as i64 - pd as i64,
-                cell as i64 - pd as i64,
-                cmd as i64 - pd as i64,
-                arg as i64 - pd as i64,
-            ))
-        })();
-        // Against Smokestack the replaced allocas are not disclosed by
-        // the probe; the attacker falls back to the unprotected build's
-        // layout (its only static knowledge), which the sweep then
-        // mismatches — and the guard catches the sweep regardless.
-        let (d_tag, d_cell, d_cmd, d_arg) = match offsets {
-            Some(o) => o,
-            None => {
-                let base = build.unprotected_twin(SOURCE);
-                let intel = probe(base, run_seed ^ 0x77a9, vec![0u64.to_le_bytes().to_vec()]);
-                let pd = intel
-                    .addr_of("dissect_record", "pd")
-                    .expect("baseline probe");
-                (
-                    intel.addr_of("dissect_record", "tag").expect("probe") as i64 - pd as i64,
-                    intel.addr_of("render_columns", "cell_list").expect("probe") as i64 - pd as i64,
-                    intel.addr_of("render_columns", "cmd").expect("probe") as i64 - pd as i64,
-                    intel.addr_of("render_columns", "arg").expect("probe") as i64 - pd as i64,
-                )
-            }
+        // callee's pd buffer up to the caller's loop variables. Against
+        // Smokestack the replaced allocas are not disclosed; the attacker
+        // falls back to the unprotected build's layout (its only static
+        // knowledge), which the sweep then mismatches, and the guard
+        // catches the sweep regardless.
+        let mut knowledge = Knowledge::probed_or_twin(
+            build,
+            SOURCE,
+            run_seed ^ 0x77a9,
+            &[0u64.to_le_bytes().to_vec()],
+            &SLOTS,
+        );
+        let Some(&[d_tag, d_cell, d_cmd, d_arg]) =
+            knowledge.deltas(None, 0, SLOTS[0], &SLOTS[1..]).as_deref()
+        else {
+            return AttackOutcome::Aborted;
         };
         if d_cell <= 0 || d_cmd <= 0 || d_arg <= 0 {
             return AttackOutcome::Aborted; // unusable static layout
         }
 
         let committed = CommitFlag::new();
-        let committed_c = committed.clone();
 
         let span = (d_cell.max(d_cmd).max(d_arg) + 8) as usize;
         let mut vm = build.vm(run_seed);
-        let adversary = FnInput(move |mem: &mut Memory, req, _max| {
-            if committed_c.is_armed() {
+        let adversary = FnInput(|mem: &mut Memory, req, _max| {
+            if committed.is_armed() {
                 return if req % 2 == 0 {
                     0u64.to_le_bytes().to_vec() // benign zero-length frames
                 } else {
@@ -162,7 +153,7 @@ impl Attack for WiresharkAttack {
                     put(d_cell, 2); // keep the dispatcher alive
                     put(d_cmd, 777); // fire the bot gadget
                     put(d_arg, 1);
-                    committed_c.arm();
+                    committed.arm();
                     payload
                 }
                 _ => vec![],

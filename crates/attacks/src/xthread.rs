@@ -30,11 +30,9 @@
 //! writes (the worker cannot line up the victim's draw order), so all
 //! Smokestack schemes face the same blind guess here.
 
-use smokestack_rand::Rng;
 use smokestack_vm::{FnInput, Memory};
 
-use crate::intel::probe;
-use crate::librelp::{get, oracle_map};
+use crate::intel::Knowledge;
 use crate::{conclude, Attack, AttackOutcome, Build, CommitFlag};
 
 /// The secret `xthread-shared-overflow` exfiltrates.
@@ -144,10 +142,10 @@ const STAMP_MAGIC: u64 = 381831181;
 /// The attacker's required knowledge: the signed in-frame distances of
 /// `is_admin` and `stamp` above `buf` in the victim function. Static
 /// layouts yield them from one disclosure probe of a prior run;
-/// Smokestack layouts force a blind P-BOX row guess (seeded from the
-/// trial, like the other case studies' non-pseudo paths). Returns
-/// `None` — a stealthy abort — when the (known or guessed) layout puts
-/// either target below the buffer or past the packet's reach.
+/// Smokestack layouts force a blind P-BOX row guess, under `pseudo` too
+/// (the worker cannot line up the victim's draw order). Returns `None`
+/// (a stealthy abort) when the known or guessed layout puts either
+/// target below the buffer or past the packet's reach.
 fn victim_deltas(
     build: &Build,
     run_seed: u64,
@@ -155,21 +153,15 @@ fn victim_deltas(
     salt: u64,
     max_delta: i64,
 ) -> Option<(i64, i64)> {
-    let (d_admin, d_stamp) = match &build.deployment.smokestack {
-        Some(report) => {
-            let mut rng = Rng::seed_from_u64(run_seed ^ salt);
-            let map = oracle_map(report, func, rng.next_u64());
-            let buf = get(&map, "buf")?;
-            (get(&map, "is_admin")? - buf, get(&map, "stamp")? - buf)
-        }
-        None => {
-            let intel = probe(build, run_seed ^ salt, vec![vec![]]);
-            (
-                intel.offset_between(func, "buf", "is_admin")?,
-                intel.offset_between(func, "buf", "stamp")?,
-            )
-        }
-    };
+    let mut knowledge = Knowledge::pbox(build, run_seed, salt, false)
+        .unwrap_or_else(|| Knowledge::probed(build, run_seed ^ salt, &[vec![]]));
+    let d = knowledge.deltas(
+        None,
+        0,
+        (func, "buf"),
+        &[(func, "is_admin"), (func, "stamp")],
+    )?;
+    let (d_admin, d_stamp) = (d[0], d[1]);
     // The buffer is 64 bytes, so any consistent layout puts both
     // targets at least 64 above it, in disjoint 8-byte slots.
     let plausible = (64..=max_delta).contains(&d_admin)
@@ -193,12 +185,11 @@ fn sweep_payload(d_admin: i64, d_stamp: i64) -> Vec<u8> {
 /// point, with the trial seed also varying the thread interleaving.
 fn deliver(build: &Build, run_seed: u64, payload: Vec<u8>, secret: &str) -> AttackOutcome {
     let committed = CommitFlag::new();
-    let committed_c = committed.clone();
     let mut vm = build.vm(run_seed);
     vm.set_sched_seed(run_seed ^ 0x51ed);
-    let adversary = FnInput(move |_mem: &mut Memory, req, _max| {
+    let adversary = FnInput(|_mem: &mut Memory, req, _max| {
         if req == 0 {
-            committed_c.arm();
+            committed.arm();
             return payload.clone();
         }
         vec![]

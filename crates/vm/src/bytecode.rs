@@ -287,6 +287,23 @@ impl CompiledModule {
         &self.module
     }
 
+    /// Load address of the global `name`: the same for every VM spawned
+    /// from this image.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is not a global of the module.
+    pub fn global_addr(&self, name: &str) -> u64 {
+        let idx = self
+            .module
+            .globals
+            .iter()
+            .position(|g| g.name == name)
+            // Caller contract (see # Panics), not reachable from a program.
+            .unwrap_or_else(|| panic!("no global named {name}"));
+        self.globals.addrs[idx]
+    }
+
     /// Total bytecode instructions across all functions (diagnostics).
     pub fn code_len(&self) -> usize {
         self.funcs.iter().map(|f| f.code.len()).sum()

@@ -472,21 +472,13 @@ impl Vm {
         &mut self.mem
     }
 
-    /// Address of a global.
+    /// Address of a global ([`CompiledModule::global_addr`]).
     ///
     /// # Panics
     ///
     /// Panics if `name` is not a global of the module.
     pub fn global_addr(&self, name: &str) -> u64 {
-        let idx = self
-            .compiled
-            .module
-            .globals
-            .iter()
-            .position(|g| g.name == name)
-            // Caller contract (see # Panics), not reachable from a program.
-            .unwrap_or_else(|| panic!("no global named {name}"));
-        self.compiled.globals.addrs[idx]
+        self.compiled.global_addr(name)
     }
 
     /// Run `main` with no arguments and scripted (possibly empty) input.
